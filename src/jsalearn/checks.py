@@ -320,8 +320,7 @@ def check_snis_consistency(seed=0, n_models=5, n_particles=20_000,
 
         X = np.broadcast_to(x, (n_particles, x.size))
         C = None if c is None else np.broadcast_to(c, (n_particles, c.size))
-        h, logq = pair.inf.sample_q(X, C, rng=rng, return_log_q=True)
-        logw = pair.gen.log_joint(X, h, C) - logq
+        h, logw = ev.importance_sample(pair, X, C, rng)
         wn = np.exp(logw - logsumexp(logw))
         snis_mean = wn @ h[0]
         worst = max(worst, float(np.abs(snis_mean - exact_mean).max()))
@@ -339,7 +338,8 @@ def check_estimator_consistency(seed=0, n_models=10, n_samples=10_000,
     for _ in range(n_models):
         pair, x, c = well_conditioned_pair(rng)
         exact = -ev.exact_log_likelihood(pair.gen, x, c)
-        est = ev.estimate_nll(pair, x, c, n_samples=n_samples, rng=rng)
+        est = ev.dataset_nll(pair, x[None], None if c is None else c[None],
+                             n_samples=n_samples, rng=rng)
         worst = max(worst, abs(est - exact))
 
     # q == posterior by construction: zero decoder/encoder weights make x
@@ -352,11 +352,10 @@ def check_estimator_consistency(seed=0, n_models=10, n_samples=10_000,
     pair.inf.encoder_nets[0].layers[0].b[:] = pair.gen.prior_logits
     x = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     X = np.broadcast_to(x, (64, 5))
-    h, logq = pair.inf.sample_q(X, rng=rng, return_log_q=True)
-    logw = pair.gen.log_joint(X, h) - logq
+    _, logw = ev.importance_sample(pair, X, rng=rng)
     w_spread = float(logw.max() - logw.min())
     exact = -ev.exact_log_likelihood(pair.gen, x)
-    est = ev.estimate_nll(pair, x, n_samples=64, rng=rng)
+    est = ev.dataset_nll(pair, x[None], n_samples=64, rng=rng)
     degen_dev = abs(est - exact)
     ok = worst <= tol and w_spread <= 1e-12 and degen_dev <= 1e-9
     return CheckResult(

@@ -147,15 +147,17 @@ def fisher_identity_check(gen, x, c=None, eps=1e-5, support=None) -> float:
     return rel_deviation(expected, numeric)
 
 
-def estimate_nll(pair, x, c=None, n_samples=1000, rng=None) -> float:
-    """Importance-sampled negative log-likelihood of one observation:
-    -log mean_i exp(log p(x,h_i) - log q(h_i|x)) with h_i ~ q. An upper
-    bound on the true NLL in expectation."""
-    X = np.broadcast_to(x, (n_samples, x.size))
-    C = None if c is None else np.broadcast_to(c, (n_samples, c.size))
-    h, logq = pair.inf.sample_q(X, C, rng=rng, return_log_q=True)
-    logw = pair.gen.log_joint(X, h, C) - logq
-    return float(-(logsumexp(logw) - np.log(n_samples)))
+def importance_sample(pair, x, c=None, rng=None):
+    """Draws h ~ q(h|x) row by row and returns (h, log w) with
+    log w = log p(x,h) - log q(h|x)."""
+    h, logq = pair.inf.sample_q(x, c, rng=rng, return_log_q=True)
+    return h, pair.gen.log_joint(x, h, c) - logq
+
+
+def log_mean_exp(a, axis=-1):
+    """log mean exp(a) along axis. Over importance log-weights its negative
+    is the IS NLL estimate, an upper bound on the true NLL in expectation."""
+    return logsumexp(a, axis=axis) - np.log(a.shape[axis])
 
 
 def dataset_nll(pair, items, contexts=None, n_samples=100, rng=None,
@@ -171,9 +173,8 @@ def dataset_nll(pair, items, contexts=None, n_samples=100, rng=None,
         Cr = None
         if contexts is not None:
             Cr = np.repeat(contexts[start:stop], n_samples, axis=0)
-        h, logq = pair.inf.sample_q(Xr, Cr, rng=rng, return_log_q=True)
-        logw = (pair.gen.log_joint(Xr, h, Cr) - logq).reshape(m, n_samples)
-        total += float(-(logsumexp(logw, axis=1) - np.log(n_samples)).sum())
+        _, logw = importance_sample(pair, Xr, Cr, rng)
+        total += float(-log_mean_exp(logw.reshape(m, n_samples)).sum())
     return total / n
 
 

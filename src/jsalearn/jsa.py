@@ -7,14 +7,16 @@ Each datapoint carries its own latent Markov chain. One minibatch update:
    posterior p(h|x): propose h' ~ q, accept with probability
    min(1, w(h')/w(h)) where w = p(x,h)/q(h|x). The marginal p(x) cancels in
    the ratio, so only the joint and the proposal mass are ever evaluated.
+   mis_moves runs the decisions, here and in the chains of run_mis_chain.
 2. Average grad_theta log p(x,h) and grad_phi log q(h|x) over all m*K
    post-move states. Ascending these couples maximum-likelihood learning of
    theta with inclusive-KL minimization for phi.
 
 Training has two stages. In the warm-up stage each visit starts its chain
 afresh from an accepted proposal (no state kept); in the cache stage every
-datapoint's last latent state persists across epochs, giving the sampler a
-warm start. The stage switch only changes where chains start; the update
+datapoint's last latent state persists across epochs in a LatentCache (one
+dense row per dataset index and latent layer), giving the sampler a warm
+start. The stage switch only changes where chains start; the update
 rule is identical.
 
 A reweighted wake-sleep style baseline update is included for comparison:
@@ -24,7 +26,7 @@ weighting over fresh proposals (proposals are always "accepted").
 Checkpoints are single-file binary containers: an 8-byte magic header
 followed by a pickled payload holding the architecture string, the flat
 parameter vector, optimizer moments, cached chains, generator state, and
-the epoch counter.
+the epoch counter. The cache is stored as {"layers": [...], "seen": ...}.
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ from .errors import (
     FormatError,
     NumericError,
     ShapeError,
-    StateError,
     TrainingDiverged,
 )
 from .models import ModelPair, build_architecture
 from .ndnet import AdamState, adam_step
 
 CHECKPOINT_MAGIC = b"JSACKPT\x01"
+CHAIN_SLICE = 1 << 16
 
 
 def log_importance_weight(pair: ModelPair, x, h, c=None):
@@ -63,53 +65,66 @@ def default_accept(delta: float, rng) -> bool:
     return u == 0.0 or math.log(u) < delta
 
 
-def mis_step(pair: ModelPair, x, h_old, c=None, rng=None, accept_rule=None):
-    """One independence-sampler move for a single datapoint.
+def mis_moves(logw_cur, logw_prop, rng, accept_rule=None):
+    """K sequential independence-sampler moves for each of m chains.
 
-    Returns (h_new, accepted). h_new is the proposal on acceptance and
-    h_old itself on rejection.
+    logw_cur (m,) holds the log-weights of the chains' current states and
+    logw_prop (m, K) those of their proposals, in move order. Decisions run
+    move-major (all chains' move 0, then move 1, ...), one accept_rule call
+    each, so the random stream does not depend on how chains are batched.
+    Returns (pos, accepted): pos[j, k] is the proposal chain j sits at after
+    move k, or -1 while it is still at its starting state.
     """
     accept = accept_rule or default_accept
-    h_prop, logq = pair.inf.sample_q(x, c, rng=rng, return_log_q=True)
-    logw_prop = pair.gen.log_joint(x, h_prop, c) - logq
-    logw_old = log_importance_weight(pair, x, h_old, c)
-    if accept(logw_prop - logw_old, rng):
-        return h_prop, True
-    return h_old, False
+    m, K = logw_prop.shape
+    cur = logw_cur.tolist()
+    prop = logw_prop.tolist()
+    here = [-1] * m
+    pos = [[-1] * K for _ in range(m)]
+    for k in range(K):
+        for j in range(m):
+            if accept(prop[j][k] - cur[j], rng):
+                cur[j] = prop[j][k]
+                here[j] = k
+            pos[j][k] = here[j]
+    # A chain sits at proposal k after move k only if it accepted that move.
+    pos = np.array(pos, dtype=np.intp)
+    return pos, int((pos == np.arange(K)).sum())
 
 
 class LatentCache:
-    """Persistent per-datapoint latent chain states, keyed by dataset index."""
+    """Persistent chain states, one row per dataset index: a dense
+    (n, width) float64 array per latent layer plus a boolean mask of the
+    rows that hold a state."""
 
-    def __init__(self):
-        self._store = {}
+    def __init__(self, n: int = 0, widths=()):
+        self.layers = [np.zeros((n, w)) for w in widths]
+        self.seen = np.zeros(n, dtype=bool)
 
     def __len__(self):
-        return len(self._store)
+        return int(self.seen.sum())
 
-    def __contains__(self, index):
-        return index in self._store
+    def get(self, indices):
+        """(states, seen) for the given rows: one (len(indices), width) copy
+        per layer, in which rows not yet seen read as zeros."""
+        return [lay[indices] for lay in self.layers], self.seen[indices]
 
-    def get(self, index):
-        if index not in self._store:
-            raise StateError(f"no cached latent state for index {index}")
-        return self._store[index]
-
-    def put(self, index, h):
-        self._store[index] = [np.array(hk, dtype=np.float64, copy=True)
-                              for hk in h]
-
-    def indices(self):
-        return sorted(self._store)
+    def put(self, indices, h):
+        """Stores (a copy of) h, one (len(indices), width) array per layer."""
+        for lay, hk in zip(self.layers, h):
+            lay[indices] = hk
+        self.seen[indices] = True
 
     def state_dict(self):
-        return {i: [hk.copy() for hk in h] for i, h in self._store.items()}
+        return {"layers": [lay.copy() for lay in self.layers],
+                "seen": self.seen.copy()}
 
     @classmethod
     def from_state(cls, state):
         cache = cls()
-        for i, h in state.items():
-            cache.put(i, h)
+        cache.layers = [np.array(lay, dtype=np.float64)
+                        for lay in state["layers"]]
+        cache.seen = np.array(state["seen"], dtype=bool)
         return cache
 
 
@@ -187,68 +202,49 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
     a fresh accepted proposal. Without use_cache every visit starts fresh
     and the cache is untouched.
     """
-    accept = accept_rule or default_accept
     idxs, X, C = _stack_batch(pair, batch)
     m = len(idxs)
     K = config.particle_number
-    n_layers = pair.gen.n_layers
 
     # K proposals per datapoint, rows ordered (j, k) -> j*K + k. The proposal
     # law of an independence sampler does not depend on the chain state, so
     # all of them can be drawn and scored up front.
     Xr = np.repeat(X, K, axis=0)
     Cr = None if C is None else np.repeat(C, K, axis=0)
-    Hp, logq_p = pair.inf.sample_q(Xr, Cr, rng=rng, return_log_q=True)
-    logw_p = pair.gen.log_joint(Xr, Hp, Cr) - logq_p
+    Hp, logw_p = evaluation.importance_sample(pair, Xr, Cr, rng)
+    logw_p = logw_p.reshape(m, K)
 
     # Starting states: cached where available, fresh accepted proposals
     # otherwise (always fresh in the no-cache stage).
-    if use_cache:
-        fresh = [j for j, i in enumerate(idxs) if i not in cache]
+    if not use_cache:
+        H0 = pair.inf.sample_q(X, C, rng=rng)
     else:
-        fresh = list(range(m))
-    H0 = [np.empty((m, spec.width)) for spec in pair.layer_specs]
-    if fresh:
-        Hf = pair.inf.sample_q(X[fresh], None if C is None else C[fresh],
-                               rng=rng)
-        for k in range(n_layers):
-            H0[k][fresh] = Hf[k]
-    if use_cache:
-        for j, i in enumerate(idxs):
-            if i in cache:
-                hc = cache.get(i)
-                for k in range(n_layers):
-                    H0[k][j] = hc[k]
+        H0, seen = cache.get(idxs)
+        if not seen.all():
+            fresh = ~seen
+            Hf = pair.inf.sample_q(X[fresh], None if C is None else C[fresh],
+                                   rng=rng)
+            for h0, hf in zip(H0, Hf):
+                h0[fresh] = hf
     logw_0 = log_importance_weight(pair, X, H0, C)
 
-    # Sequential accept/reject over the K moves; rows of `stacked` are the
-    # m starting states followed by the m*K proposals.
-    stacked = [np.concatenate([H0[k], Hp[k]], axis=0) for k in range(n_layers)]
-    cur_row = np.arange(m)
-    cur_logw = logw_0.copy()
-    sel = np.empty(m * K, dtype=np.intp)
-    accepted = 0
-    for k in range(K):
-        for j in range(m):
-            p = j * K + k
-            if accept(logw_p[p] - cur_logw[j], rng):
-                cur_row[j] = m + p
-                cur_logw[j] = logw_p[p]
-                accepted += 1
-            sel[p] = cur_row[j]
+    # rows[j, k] locates chain j after move k among the m starting states
+    # followed by the m*K proposals.
+    pos, accepted = mis_moves(logw_0, logw_p, rng, accept_rule)
+    j = np.arange(m)[:, None]
+    rows = np.where(pos < 0, j, m + j * K + pos)
+    stacked = [np.concatenate([h0, hp]) for h0, hp in zip(H0, Hp)]
 
     # Average both gradients over all m*K visited post-move states.
-    Hsel = [lay[sel] for lay in stacked]
+    Hsel = [lay[rows.reshape(-1)] for lay in stacked]
     w = np.full(m * K, 1.0 / (m * K))
     g_theta = pair.gen.grad_log_joint(Xr, Hsel, Cr, weights=w)
     g_phi = pair.inf.grad_log_q(Hsel, Xr, Cr, weights=w)
 
     if use_cache and update_cache:
-        for j, i in enumerate(idxs):
-            cache.put(i, [lay[cur_row[j]] for lay in stacked])
+        cache.put(idxs, [lay[rows[:, -1]] for lay in stacked])
 
-    nll_proxy = float(np.mean(
-        -(logsumexp(logw_p.reshape(m, K), axis=1) - np.log(K))))
+    nll_proxy = float(np.mean(-evaluation.log_mean_exp(logw_p)))
     return GradEstimate(g_theta, g_phi, accepted, m * K, nll_proxy)
 
 
@@ -265,13 +261,13 @@ def rws_minibatch_update(pair: ModelPair, batch, n_particles: int,
     P = n_particles
     Xr = np.repeat(X, P, axis=0)
     Cr = None if C is None else np.repeat(C, P, axis=0)
-    Hp, logq = pair.inf.sample_q(Xr, Cr, rng=rng, return_log_q=True)
-    logw = (pair.gen.log_joint(Xr, Hp, Cr) - logq).reshape(m, P)
+    Hp, logw = evaluation.importance_sample(pair, Xr, Cr, rng)
+    logw = logw.reshape(m, P)
     wn = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
     w = wn.reshape(-1) / m
     g_theta = pair.gen.grad_log_joint(Xr, Hp, Cr, weights=w)
     g_phi = pair.inf.grad_log_q(Hp, Xr, Cr, weights=w)
-    nll_proxy = float(np.mean(-(logsumexp(logw, axis=1) - np.log(P))))
+    nll_proxy = float(np.mean(-evaluation.log_mean_exp(logw)))
     return GradEstimate(g_theta, g_phi, m * P, m * P, nll_proxy)
 
 
@@ -280,11 +276,11 @@ def run_mis_chain(pair: ModelPair, x, n_steps: int, rng, c=None, support=None,
     """Occupancy counts of a long sampler chain over an enumerable support.
 
     Proposals are tabulated up front (valid because the proposal law ignores
-    the chain state); every accept/reject decision runs through the
-    production rule. Used to verify that the chain's occupancy matches the
-    exact posterior.
+    the chain state) and fed through mis_moves, the production move loop,
+    CHAIN_SLICE steps at a time so that the Python lists the loop builds
+    stay small at any chain length. Used to verify that the chain's
+    occupancy matches the exact posterior.
     """
-    accept = accept_rule or default_accept
     support = support or evaluation.enumerate_support(pair.gen)
     X = np.broadcast_to(x, (support.size, x.size))
     C = None if c is None else np.broadcast_to(c, (support.size, c.size))
@@ -296,11 +292,12 @@ def run_mis_chain(pair: ModelPair, x, n_steps: int, rng, c=None, support=None,
     props = rng.choice(support.size, size=n_steps, p=q)
     cur = int(rng.choice(support.size, p=q)) if start is None else int(start)
     counts = np.zeros(support.size)
-    for t in range(n_steps):
-        p = props[t]
-        if accept(logw[p] - logw[cur], rng):
-            cur = p
-        counts[cur] += 1.0
+    for t in range(0, n_steps, CHAIN_SLICE):
+        props_t = props[t:t + CHAIN_SLICE]
+        pos, _ = mis_moves(logw[[cur]], logw[props_t][None], rng, accept_rule)
+        states = np.where(pos[0] < 0, cur, props_t[pos[0]])
+        counts += np.bincount(states, minlength=support.size)
+        cur = int(states[-1])
     return counts
 
 
@@ -350,7 +347,8 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
 
     rng = np.random.default_rng(config.seed)
     adam = AdamState.for_size(pair.lam.size, lr=config.lr)
-    result = TrainResult(cache=LatentCache(), adam=adam)
+    widths = [spec.width for spec in pair.layer_specs]
+    result = TrainResult(cache=LatentCache(n, widths), adam=adam)
     last_good = pair.copy_lam()
     t0 = time.perf_counter()
 

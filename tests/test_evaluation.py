@@ -117,8 +117,8 @@ class TestEstimators:
         pair, rng = random_pair(6, scale=0.5)
         x = np.array([1.0, 1.0, 0.0, 1.0])
         exact = -ev.exact_log_likelihood(pair.gen, x)
-        est = ev.estimate_nll(pair, x, n_samples=40000,
-                              rng=np.random.default_rng(0))
+        est = ev.dataset_nll(pair, x[None], n_samples=40000,
+                             rng=np.random.default_rng(0))
         assert abs(est - exact) < 0.02
 
     def test_estimate_nll_biased_upward_at_small_n(self):
@@ -127,11 +127,11 @@ class TestEstimators:
         x = np.array([0.0, 1.0, 1.0, 0.0])
         exact = -ev.exact_log_likelihood(pair.gen, x)
         r = np.random.default_rng(1)
-        reps = np.array([ev.estimate_nll(pair, x, n_samples=3, rng=r)
-                         for _ in range(400)])
+        reps = np.array([ev.dataset_nll(pair, x[None], n_samples=3,
+                                        rng=r) for _ in range(400)])
         assert reps.mean() > exact
-        big = np.array([ev.estimate_nll(pair, x, n_samples=2000, rng=r)
-                        for _ in range(20)])
+        big = np.array([ev.dataset_nll(pair, x[None], n_samples=2000,
+                                       rng=r) for _ in range(20)])
         assert abs(big.mean() - exact) < abs(reps.mean() - exact)
 
     def test_dataset_nll_deterministic_and_blocked(self):
@@ -160,8 +160,8 @@ class TestEstimators:
     def test_estimate_nll_finite(self, seed):
         pair, rng = random_pair(seed, scale=1.5)
         x = (rng.random(4) < 0.5).astype(float)
-        est = ev.estimate_nll(pair, x, n_samples=20,
-                              rng=np.random.default_rng(seed))
+        est = ev.dataset_nll(pair, x[None], n_samples=20,
+                             rng=np.random.default_rng(seed))
         assert np.isfinite(est)
 
 

@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 from jsalearn import evaluation as ev
 from jsalearn import jsa
 from jsalearn.data import synthetic_dataset
-from jsalearn.errors import ConfigError, FormatError, StateError
+from jsalearn.errors import ConfigError, FormatError
 from jsalearn.jsa import JsaConfig, LatentCache
 from jsalearn.models import build_architecture
 
@@ -51,15 +51,78 @@ class TestAcceptRule:
             pair.gen.log_joint(x, h) - pair.inf.log_q(h, x), abs=1e-12)
 
 
+def reference_moves(logw_cur, logw_prop, rng, accept_rule=None):
+    """The move loop spelled out one (move k, chain j) at a time."""
+    accept = accept_rule or jsa.default_accept
+    m, K = logw_prop.shape
+    cur = logw_cur.copy()
+    pos = np.full((m, K), -1)
+    here = np.full(m, -1)
+    accepted = 0
+    for k in range(K):
+        for j in range(m):
+            if accept(logw_prop[j, k] - cur[j], rng):
+                cur[j] = logw_prop[j, k]
+                here[j] = k
+                accepted += 1
+            pos[j, k] = here[j]
+    return pos, accepted
+
+
+def reference_chain_counts(logw, props, cur, rng):
+    counts = np.zeros(logw.size)
+    for p in props:
+        if jsa.default_accept(logw[p] - logw[cur], rng):
+            cur = p
+        counts[cur] += 1.0
+    return counts
+
+
+class TestMoveLoop:
+    @pytest.mark.parametrize("rule", [None, never, always])
+    def test_matches_reference_loop(self, rule):
+        gen = np.random.default_rng(20)
+        logw_cur = gen.normal(size=7)
+        logw_prop = gen.normal(size=(7, 5))
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        pos, acc = jsa.mis_moves(logw_cur, logw_prop, rng_a, rule)
+        ref_pos, ref_acc = reference_moves(logw_cur, logw_prop, rng_b, rule)
+        assert np.array_equal(pos, ref_pos) and acc == ref_acc
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        if rule is None:
+            assert 0 < acc < logw_prop.size
+
+    def test_chain_slices_match_reference_loop(self):
+        pair, _ = tiny(18)
+        x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        sup = ev.enumerate_support(pair.gen)
+        n_steps = 2 * jsa.CHAIN_SLICE + 321
+        counts = jsa.run_mis_chain(pair, x, n_steps, np.random.default_rng(4),
+                                   support=sup, start=2)
+        X = np.broadcast_to(x, (sup.size, x.size))
+        logq = pair.inf.log_q(sup.layers, X)
+        logw = pair.gen.log_joint(X, sup.layers) - logq
+        q = np.exp(logq)
+        rng = np.random.default_rng(4)
+        props = rng.choice(sup.size, size=n_steps, p=q / q.sum())
+        ref = reference_chain_counts(logw, props, 2, rng)
+        assert np.array_equal(counts, ref)
+
+
 class TestMisStep:
+    """One move of a chain, through the minibatch update with K=1 and
+    chains started from cached states."""
+
     def test_returns_old_state_on_rejection(self):
         pair, rng = tiny(3)
         x = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
-        h_old = [np.array([0.0, 1.0, 0.0])]
-        h_new, accepted = jsa.mis_step(pair, x, h_old, rng=rng,
-                                       accept_rule=never)
-        assert not accepted
-        assert h_new is h_old
+        cache = LatentCache(1, [3])
+        cache.put([0], [np.array([[0.0, 1.0, 0.0]])])
+        est = jsa.jsa_minibatch_update(pair, cache, [(0, x, None)],
+                                       JsaConfig(particle_number=1), rng,
+                                       use_cache=True, accept_rule=never)
+        assert est.accept_count == 0
+        assert np.array_equal(cache.get([0])[0][0], [[0.0, 1.0, 0.0]])
 
     def test_single_step_law_matches_analytic_kernel(self):
         pair, rng = tiny(4)
@@ -67,41 +130,46 @@ class TestMisStep:
         sup = ev.enumerate_support(pair.gen)
         K = ev.mis_transition_matrix(pair, x, support=sup)
         i0 = 3
-        h_old = sup.config(i0)
 
         n = 20000
+        cache = LatentCache(n, [3])
+        cache.put(np.arange(n), [np.tile(h, (n, 1)) for h in sup.config(i0)])
+        jsa.jsa_minibatch_update(pair, cache, [(i, x, None) for i in range(n)],
+                                 JsaConfig(particle_number=1), rng,
+                                 use_cache=True)
+        (H,), _ = cache.get(np.arange(n))
         counts = np.zeros(sup.size)
-        for _ in range(n):
-            h_new, _ = jsa.mis_step(pair, x, h_old, rng=rng)
-            counts[sup.index_of(h_new)] += 1
+        for h in H:
+            counts[sup.index_of([h])] += 1
         freq = counts / n
         se = np.sqrt(K[i0] * (1 - K[i0]) / n)
         assert np.all(np.abs(freq - K[i0]) <= 4 * se + 1e-9)
 
 
 class TestLatentCache:
-    def test_miss_raises(self):
-        cache = LatentCache()
-        with pytest.raises(StateError):
-            cache.get(0)
+    def test_unseen_rows_read_as_unseen(self):
+        cache = LatentCache(4, [2])
+        cache.put([2], [np.array([[1.0, 1.0]])])
+        (h,), seen = cache.get([0, 2])
+        assert seen.tolist() == [False, True]
+        assert np.array_equal(h[1], [1.0, 1.0])
 
     def test_put_copies(self):
-        cache = LatentCache()
-        h = [np.array([1.0, 0.0])]
-        cache.put(5, h)
-        h[0][0] = 9.0
-        assert cache.get(5)[0][0] == 1.0
-        assert 5 in cache and len(cache) == 1
+        cache = LatentCache(6, [2])
+        h = [np.array([[1.0, 0.0]])]
+        cache.put([5], h)
+        h[0][0, 0] = 9.0
+        assert cache.get([5])[0][0][0, 0] == 1.0
+        assert len(cache) == 1
 
     def test_state_round_trip(self):
-        cache = LatentCache()
-        cache.put(1, [np.array([1.0, 0.0]), np.array([0.0])])
-        cache.put(7, [np.array([0.0, 0.0]), np.array([1.0])])
+        cache = LatentCache(8, [2, 1])
+        cache.put([1, 7], [np.array([[1.0, 0.0], [0.0, 0.0]]),
+                           np.array([[0.0], [1.0]])])
         back = LatentCache.from_state(cache.state_dict())
-        assert back.indices() == [1, 7]
-        for i in (1, 7):
-            for a, b in zip(back.get(i), cache.get(i)):
-                assert np.array_equal(a, b)
+        assert np.flatnonzero(back.seen).tolist() == [1, 7]
+        for a, b in zip(back.get([1, 7])[0], cache.get([1, 7])[0]):
+            assert np.array_equal(a, b)
 
 
 class TestMinibatchUpdate:
@@ -119,22 +187,20 @@ class TestMinibatchUpdate:
 
     def test_stage_two_fills_and_reuses_cache(self):
         pair, rng = tiny(6)
-        cache = LatentCache()
+        cache = LatentCache(6, [3])
         cfg = JsaConfig(particle_number=2)
         b = self.batch(pair, rng)
         jsa.jsa_minibatch_update(pair, cache, b, cfg, rng, use_cache=True)
-        assert cache.indices() == [0, 1, 2, 3]
-        first = {i: [a.copy() for a in cache.get(i)] for i in cache.indices()}
+        assert np.flatnonzero(cache.seen).tolist() == [0, 1, 2, 3]
+        first = cache.state_dict()
         jsa.jsa_minibatch_update(pair, cache, b, cfg, rng, use_cache=True,
                                  accept_rule=never)
         # all moves rejected: chains must still sit at their cached states
-        for i in cache.indices():
-            for a, b2 in zip(first[i], cache.get(i)):
-                assert np.array_equal(a, b2)
+        assert np.array_equal(first["layers"][0], cache.layers[0])
 
     def test_rejected_updates_average_gradient_at_start_states(self):
         pair, rng = tiny(7)
-        cache = LatentCache()
+        cache = LatentCache(3, [3])
         b = self.batch(pair, rng, m=3)
         starts = []
         for j, x, _ in b:
@@ -154,16 +220,17 @@ class TestMinibatchUpdate:
 
     def test_always_accept_caches_last_proposal(self):
         pair, rng = tiny(8)
-        cache = LatentCache()
+        cache = LatentCache(2, [3])
         cfg = JsaConfig(particle_number=3)
         b = self.batch(pair, rng, m=2)
         est = jsa.jsa_minibatch_update(pair, cache, b, cfg, rng,
                                        use_cache=True, accept_rule=always)
         assert est.accept_count == est.proposal_count == 6
+        assert len(cache) == 2
 
     def test_update_cache_false_leaves_cache_alone(self):
         pair, rng = tiny(9)
-        cache = LatentCache()
+        cache = LatentCache(2, [3])
         cfg = JsaConfig(particle_number=2)
         b = self.batch(pair, rng, m=2)
         jsa.jsa_minibatch_update(pair, cache, b, cfg, rng, use_cache=True,
@@ -186,7 +253,7 @@ class TestMinibatchUpdate:
         reps = 3000
         grads = np.empty((reps, pair.n_theta))
         for r in range(reps):
-            cache = LatentCache()
+            cache = LatentCache(1, [3])
             cache.put(0, sup.config(int(rng.choice(sup.size, p=post))))
             est = jsa.jsa_minibatch_update(pair, cache, [(0, x, None)], cfg,
                                            rng, use_cache=True,
@@ -353,7 +420,7 @@ class TestTrain:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         pair, rng = tiny(15)
-        cache = LatentCache()
+        cache = LatentCache(4, [3])
         cache.put(3, [np.array([1.0, 0.0, 1.0])])
         adam = jsa.AdamState.for_size(pair.lam.size, lr=2e-3)
         adam.m[:] = rng.normal(size=adam.m.size)
@@ -370,7 +437,7 @@ class TestCheckpoint:
         assert adam2.step == 17 and adam2.lr == 2e-3
         assert np.array_equal(adam2.m, adam.m)
         cache2 = LatentCache.from_state(payload["cache"])
-        assert np.array_equal(cache2.get(3)[0], [1.0, 0.0, 1.0])
+        assert np.array_equal(cache2.get([3])[0][0], [[1.0, 0.0, 1.0]])
 
         x = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
         h = [np.array([0.0, 1.0, 1.0])]
