@@ -8,6 +8,9 @@ Each datapoint carries its own latent Markov chain. One minibatch update:
    min(1, w(h')/w(h)) where w = p(x,h)/q(h|x). The marginal p(x) cancels in
    the ratio, so only the joint and the proposal mass are ever evaluated.
    mis_moves runs the decisions, here and in the chains of run_mis_chain.
+   Its default rule reads the logs of uniforms drawn in one block per call,
+   the same random stream as one scalar draw per decision; a custom rule
+   is still called once per decision.
 2. Average grad_theta log p(x,h) and grad_phi log q(h|x) over all m*K
    post-move states. Ascending these couples maximum-likelihood learning of
    theta with inclusive-KL minimization for phi.
@@ -35,6 +38,7 @@ import math
 import pickle
 import time
 from dataclasses import dataclass, field
+from itertools import cycle, repeat
 
 import numpy as np
 from scipy.special import logsumexp
@@ -59,37 +63,48 @@ def log_importance_weight(pair: ModelPair, x, h, c=None):
     return pair.gen.log_joint(x, h, c) - pair.inf.log_q(h, x, c)
 
 
-def default_accept(delta: float, rng) -> bool:
-    """Metropolis test in log space: accept with probability min(1, e^delta)."""
-    u = rng.random()
-    return u == 0.0 or math.log(u) < delta
+def _log_uniforms(rng, n):
+    """math.log of n uniforms drawn in one rng.random block; a uniform of
+    exactly 0 reads as -inf. math.log, not np.log: the two differ in the
+    last bit on some inputs, and each decision must equal the scalar test
+    log(u) < delta."""
+    us = rng.random(n).tolist()
+    if all(us):
+        return list(map(math.log, us))
+    return [math.log(u) if u else -math.inf for u in us]
 
 
 def mis_moves(logw_cur, logw_prop, rng, accept_rule=None):
     """K sequential independence-sampler moves for each of m chains.
 
     logw_cur (m,) holds the log-weights of the chains' current states and
-    logw_prop (m, K) those of their proposals, in move order. Decisions run
-    move-major (all chains' move 0, then move 1, ...), one accept_rule call
-    each, so the random stream does not depend on how chains are batched.
+    logw_prop (m, K) those of their proposals, in move order. The m*K
+    decisions run in one loop, move-major (all chains' move 0, then move
+    1, ...), so the random stream does not depend on how chains are
+    batched. The default rule accepts with probability min(1, e^delta),
+    always when its uniform is exactly 0; it draws the call's uniforms in
+    one rng.random(m*K) block, the same doubles and the same generator
+    state as one scalar draw per decision. A custom accept_rule(delta, rng)
+    is instead called once per decision, in the same order.
     Returns (pos, accepted): pos[j, k] is the proposal chain j sits at after
     move k, or -1 while it is still at its starting state.
     """
-    accept = accept_rule or default_accept
     m, K = logw_prop.shape
     cur = logw_cur.tolist()
-    prop = logw_prop.tolist()
-    here = [-1] * m
-    pos = [[-1] * K for _ in range(m)]
-    for k in range(K):
-        for j in range(m):
-            if accept(prop[j][k] - cur[j], rng):
-                cur[j] = prop[j][k]
-                here[j] = k
-            pos[j][k] = here[j]
-    # A chain sits at proposal k after move k only if it accepted that move.
-    pos = np.array(pos, dtype=np.intp)
-    return pos, int((pos == np.arange(K)).sum())
+    prop = logw_prop.T.ravel().tolist()  # decision i = k*m + j
+    logu = repeat(None) if accept_rule else _log_uniforms(rng, m * K)
+    log0 = -math.inf  # a zero uniform accepts even a delta of -inf or NaN
+    took = bytearray(m * K)
+    for i, (j, p, lu) in enumerate(zip(cycle(range(m)), prop, logu)):
+        delta = p - cur[j]
+        if (accept_rule(delta, rng) if accept_rule
+                else lu < delta or lu == log0):
+            cur[j] = p
+            took[i] = 1
+    # A chain sits after move k at the last proposal it accepted, if any.
+    took = np.frombuffer(took, dtype=bool).reshape(K, m).T
+    pos = np.maximum.accumulate(np.where(took, np.arange(K), -1), axis=1)
+    return pos, int(took.sum())
 
 
 class LatentCache:
@@ -199,8 +214,9 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
     batch is a list of (dataset_index, x, context-or-None). With use_cache
     the per-index chains start from (and, unless update_cache is off, are
     written back to) the cache; an index seen for the first time starts from
-    a fresh accepted proposal. Without use_cache every visit starts fresh
-    and the cache is untouched.
+    a fresh accepted proposal; an index outside the cache's rows raises
+    ShapeError. Without use_cache every visit starts fresh and the cache is
+    untouched.
     """
     idxs, X, C = _stack_batch(pair, batch)
     m = len(idxs)
@@ -219,6 +235,10 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
     if not use_cache:
         H0 = pair.inf.sample_q(X, C, rng=rng)
     else:
+        for i in (min(idxs), max(idxs)):
+            if not 0 <= i < cache.seen.size:
+                raise ShapeError(f"dataset index {i} outside the chain "
+                                 f"cache's {cache.seen.size} rows")
         H0, seen = cache.get(idxs)
         if not seen.all():
             fresh = ~seen

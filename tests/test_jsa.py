@@ -1,5 +1,7 @@
 """Sampler steps, minibatch updates, the training loop, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -7,7 +9,7 @@ from scipy.special import logsumexp
 from jsalearn import evaluation as ev
 from jsalearn import jsa
 from jsalearn.data import synthetic_dataset
-from jsalearn.errors import ConfigError, FormatError
+from jsalearn.errors import ConfigError, FormatError, ShapeError
 from jsalearn.jsa import JsaConfig, LatentCache
 from jsalearn.models import build_architecture
 
@@ -29,16 +31,26 @@ def never(delta, rng):
     return False
 
 
+def default_accept(delta, rng):
+    """Metropolis test in log space, one scalar draw per decision: the
+    reference for mis_moves' default rule."""
+    u = rng.random()
+    return u == 0.0 or math.log(u) < delta
+
+
 class TestAcceptRule:
     def test_nonnegative_delta_always_accepts(self):
         rng = np.random.default_rng(0)
-        assert all(jsa.default_accept(0.0, rng) for _ in range(1000))
-        assert all(jsa.default_accept(5.0, rng) for _ in range(1000))
+        m = 1000
+        for delta in (0.0, 5.0):
+            pos, acc = jsa.mis_moves(np.zeros(m), np.full((m, 1), delta), rng)
+            assert acc == m and np.all(pos == 0)
 
     def test_negative_delta_rate(self):
         rng = np.random.default_rng(1)
         n = 40000
-        rate = sum(jsa.default_accept(-1.0, rng) for _ in range(n)) / n
+        _, acc = jsa.mis_moves(np.zeros(n), np.full((n, 1), -1.0), rng)
+        rate = acc / n
         p = np.exp(-1.0)
         assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / n)
 
@@ -53,7 +65,7 @@ class TestAcceptRule:
 
 def reference_moves(logw_cur, logw_prop, rng, accept_rule=None):
     """The move loop spelled out one (move k, chain j) at a time."""
-    accept = accept_rule or jsa.default_accept
+    accept = accept_rule or default_accept
     m, K = logw_prop.shape
     cur = logw_cur.copy()
     pos = np.full((m, K), -1)
@@ -72,25 +84,76 @@ def reference_moves(logw_cur, logw_prop, rng, accept_rule=None):
 def reference_chain_counts(logw, props, cur, rng):
     counts = np.zeros(logw.size)
     for p in props:
-        if jsa.default_accept(logw[p] - logw[cur], rng):
+        if default_accept(logw[p] - logw[cur], rng):
             cur = p
         counts[cur] += 1.0
     return counts
 
 
+class ZeroUniforms:
+    """A generator stub whose uniforms are all exactly 0."""
+
+    def random(self, size=None):
+        return np.zeros(size)
+
+
+def move_loop_cases():
+    """Bit generator x (m, K) x rule. Cases with the default generator
+    (PCG64) at (7, 5) are named by their rule alone."""
+    for bitgen in (np.random.PCG64, np.random.MT19937, np.random.Philox,
+                   np.random.SFC64):
+        for m, K in ((50, 2), (1, 70000), (7, 5)):
+            for rule in (None, never, always):
+                name = getattr(rule, "__name__", "None")
+                if (bitgen, m, K) != (np.random.PCG64, 7, 5):
+                    name = f"{bitgen.__name__}-{m}x{K}-{name}"
+                yield pytest.param(bitgen, (m, K), rule, id=name)
+
+
 class TestMoveLoop:
-    @pytest.mark.parametrize("rule", [None, never, always])
-    def test_matches_reference_loop(self, rule):
+    @pytest.mark.parametrize("bitgen,shape,rule", move_loop_cases())
+    def test_matches_reference_loop(self, bitgen, shape, rule):
+        m, K = shape
         gen = np.random.default_rng(20)
-        logw_cur = gen.normal(size=7)
-        logw_prop = gen.normal(size=(7, 5))
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        logw_cur = gen.normal(size=m)
+        logw_prop = gen.normal(size=(m, K))
+        rng_a = np.random.Generator(bitgen(3))
+        rng_b = np.random.Generator(bitgen(3))
         pos, acc = jsa.mis_moves(logw_cur, logw_prop, rng_a, rule)
         ref_pos, ref_acc = reference_moves(logw_cur, logw_prop, rng_b, rule)
         assert np.array_equal(pos, ref_pos) and acc == ref_acc
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        # the generators must be left in the same state
+        assert np.array_equal(rng_a.random(8), rng_b.random(8))
         if rule is None:
             assert 0 < acc < logw_prop.size
+
+    def test_zero_uniform_accepts_any_delta(self):
+        inf, nan = np.inf, np.nan
+        logw_cur = np.array([0.0, -inf, nan, 3.0])
+        logw_prop = np.array([[-inf, 1.0, nan],
+                              [-inf, -inf, 2.0],
+                              [nan, nan, -inf],
+                              [-5.0, -inf, nan]])
+        pos, acc = jsa.mis_moves(logw_cur, logw_prop, ZeroUniforms())
+        assert acc == logw_prop.size
+        assert np.array_equal(pos, np.tile(np.arange(3), (4, 1)))
+
+    def test_custom_rule_sees_each_decision_once_in_move_order(self):
+        calls = []
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+
+        def uphill(delta, r):
+            assert r is rng
+            calls.append(delta)
+            return delta > 0
+
+        logw_cur = np.array([0.0, 1.0])
+        logw_prop = np.array([[1.0, -1.0, 3.0], [0.0, 2.0, 2.5]])
+        pos, acc = jsa.mis_moves(logw_cur, logw_prop, rng, uphill)
+        assert calls == [1.0, -1.0, -2.0, 1.0, 2.0, 0.5]
+        assert pos.tolist() == [[0, 0, 2], [-1, 1, 2]] and acc == 4
+        assert rng.bit_generator.state == before
 
     def test_chain_slices_match_reference_loop(self):
         pair, _ = tiny(18)
@@ -176,6 +239,17 @@ class TestMinibatchUpdate:
     def batch(self, pair, rng, m=4):
         X = (rng.random((m, pair.gen.obs_width)) < 0.5).astype(float)
         return [(j, X[j], None) for j in range(m)]
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_index_outside_cache_rejected(self, bad):
+        pair, rng = tiny(22)
+        cache = LatentCache(4, [3])
+        b = self.batch(pair, rng, m=2)
+        b[1] = (bad, b[1][1], None)
+        with pytest.raises(ShapeError, match=f"index {bad} "):
+            jsa.jsa_minibatch_update(pair, cache, b, JsaConfig(), rng,
+                                     use_cache=True)
+        assert len(cache) == 0
 
     def test_stage_one_never_touches_cache(self):
         pair, rng = tiny(5)
