@@ -147,10 +147,12 @@ def fisher_identity_check(gen, x, c=None, eps=1e-5, support=None) -> float:
     return rel_deviation(expected, numeric)
 
 
-def importance_sample(pair, x, c=None, rng=None):
-    """Draws h ~ q(h|x) row by row and returns (h, log w) with
-    log w = log p(x,h) - log q(h|x)."""
-    h, logq = pair.inf.sample_q(x, c, rng=rng, return_log_q=True)
+def importance_sample(pair, x, c=None, rng=None, n_samples=1):
+    """Draws h ~ q(h|x), n_samples latent rows per row of x grouped by row
+    (as InferenceModel.sample_q), and returns (h, log w) with
+    log w = log p(x,h) - log q(h|x). Encoder net 0 runs once per row of x."""
+    h, logq = pair.inf.sample_q(x, c, rng=rng, return_log_q=True,
+                                n_samples=n_samples)
     return h, pair.gen.log_joint(x, h, c) - logq
 
 
@@ -167,14 +169,11 @@ def dataset_nll(pair, items, contexts=None, n_samples=100, rng=None,
     total = 0.0
     for start in range(0, n, block):
         stop = min(start + block, n)
-        X = items[start:stop]
-        m = X.shape[0]
-        Xr = np.repeat(X, n_samples, axis=0)
-        Cr = None
-        if contexts is not None:
-            Cr = np.repeat(contexts[start:stop], n_samples, axis=0)
-        _, logw = importance_sample(pair, Xr, Cr, rng)
-        total += float(-log_mean_exp(logw.reshape(m, n_samples)).sum())
+        C = None if contexts is None else contexts[start:stop]
+        _, logw = importance_sample(pair, items[start:stop], C, rng,
+                                    n_samples=n_samples)
+        total += float(-log_mean_exp(logw.reshape(stop - start,
+                                                  n_samples)).sum())
     return total / n
 
 

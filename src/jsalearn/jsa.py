@@ -15,6 +15,13 @@ Each datapoint carries its own latent Markov chain. One minibatch update:
    post-move states. Ascending these couples maximum-likelihood learning of
    theta with inclusive-KL minimization for phi.
 
+Each row is scored once. Encoder net 0 runs once per datapoint (its pass
+serves the K proposals and the starting state), one decoder pass scores the
+m starting states and the m*K proposals together, and the gradients
+back-propagate the activations stored for the states the chains visited.
+The activation records travel between the model methods as explicit
+arguments and return values (models.Activations).
+
 Training has two stages. In the warm-up stage each visit starts its chain
 afresh from an accepted proposal (no state kept); in the cache stage every
 datapoint's last latent state persists across epochs in a LatentCache (one
@@ -51,7 +58,7 @@ from .errors import (
     ShapeError,
     TrainingDiverged,
 )
-from .models import ModelPair, build_architecture
+from .models import ModelPair, build_architecture, join_rows
 from .ndnet import AdamState, adam_step
 
 CHECKPOINT_MAGIC = b"JSACKPT\x01"
@@ -224,16 +231,16 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
 
     # K proposals per datapoint, rows ordered (j, k) -> j*K + k. The proposal
     # law of an independence sampler does not depend on the chain state, so
-    # all of them can be drawn and scored up front.
-    Xr = np.repeat(X, K, axis=0)
-    Cr = None if C is None else np.repeat(C, K, axis=0)
-    Hp, logw_p = evaluation.importance_sample(pair, Xr, Cr, rng)
-    logw_p = logw_p.reshape(m, K)
+    # all of them can be drawn up front. Encoder net 0 runs here once per
+    # datapoint; its pass (in qa_p) serves the starting states too.
+    Hp, logq_p, qa_p = pair.inf.sample_q(X, C, rng=rng, n_samples=K,
+                                         return_acts=True)
 
     # Starting states: cached where available, fresh accepted proposals
     # otherwise (always fresh in the no-cache stage).
     if not use_cache:
-        H0 = pair.inf.sample_q(X, C, rng=rng)
+        H0, logq_0, qa_0 = pair.inf.sample_q(X, C, rng=rng, acts=qa_p,
+                                             return_acts=True)
     else:
         for i in (min(idxs), max(idxs)):
             if not 0 <= i < cache.seen.size:
@@ -243,28 +250,34 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
         if not seen.all():
             fresh = ~seen
             Hf = pair.inf.sample_q(X[fresh], None if C is None else C[fresh],
-                                   rng=rng)
+                                   rng=rng, acts=qa_p.datapoints(fresh))
             for h0, hf in zip(H0, Hf):
                 h0[fresh] = hf
-    logw_0 = log_importance_weight(pair, X, H0, C)
+        logq_0, qa_0 = pair.inf.log_q(H0, X, C, acts=qa_p, return_acts=True)
 
-    # rows[j, k] locates chain j after move k among the m starting states
-    # followed by the m*K proposals.
-    pos, accepted = mis_moves(logw_0, logw_p, rng, accept_rule)
-    j = np.arange(m)[:, None]
-    rows = np.where(pos < 0, j, m + j * K + pos)
-    stacked = [np.concatenate([h0, hp]) for h0, hp in zip(H0, Hp)]
+    # One decoder pass scores every state. Datapoint j owns the K+1 rows
+    # from j*(K+1): its starting state, then its K proposals.
+    H = [join_rows(h0, hp, m) for h0, hp in zip(H0, Hp)]
+    logp, pa = pair.gen.log_joint(X, H, C, return_acts=True)
+    logw = (logp - join_rows(logq_0, logq_p, m)).reshape(m, K + 1)
 
-    # Average both gradients over all m*K visited post-move states.
-    Hsel = [lay[rows.reshape(-1)] for lay in stacked]
+    # rows[j, k] is the scored row where chain j sits after move k.
+    pos, accepted = mis_moves(logw[:, 0], logw[:, 1:], rng, accept_rule)
+    rows = (K + 1) * np.arange(m)[:, None] + 1 + pos
+
+    # Average both gradients over all m*K visited post-move states,
+    # back-propagating the activations stored when they were scored.
+    Hsel = [hk[rows.ravel()] for hk in H]
     w = np.full(m * K, 1.0 / (m * K))
-    g_theta = pair.gen.grad_log_joint(Xr, Hsel, Cr, weights=w)
-    g_phi = pair.inf.grad_log_q(Hsel, Xr, Cr, weights=w)
+    g_theta = pair.gen.grad_log_joint(X, Hsel, C, weights=w,
+                                      acts=pa.take(rows))
+    g_phi = pair.inf.grad_log_q(Hsel, X, C, weights=w,
+                                acts=qa_0.join(qa_p).take(rows))
 
     if use_cache and update_cache:
-        cache.put(idxs, [lay[rows[:, -1]] for lay in stacked])
+        cache.put(idxs, [hk[rows[:, -1]] for hk in H])
 
-    nll_proxy = float(np.mean(-evaluation.log_mean_exp(logw_p)))
+    nll_proxy = float(np.mean(-evaluation.log_mean_exp(logw[:, 1:])))
     return GradEstimate(g_theta, g_phi, accepted, m * K, nll_proxy)
 
 
@@ -279,14 +292,14 @@ def rws_minibatch_update(pair: ModelPair, batch, n_particles: int,
     idxs, X, C = _stack_batch(pair, batch)
     m = len(idxs)
     P = n_particles
-    Xr = np.repeat(X, P, axis=0)
-    Cr = None if C is None else np.repeat(C, P, axis=0)
-    Hp, logw = evaluation.importance_sample(pair, Xr, Cr, rng)
-    logw = logw.reshape(m, P)
+    Hp, logq, qa = pair.inf.sample_q(X, C, rng=rng, n_samples=P,
+                                     return_acts=True)
+    logp, pa = pair.gen.log_joint(X, Hp, C, return_acts=True)
+    logw = (logp - logq).reshape(m, P)
     wn = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
     w = wn.reshape(-1) / m
-    g_theta = pair.gen.grad_log_joint(Xr, Hp, Cr, weights=w)
-    g_phi = pair.inf.grad_log_q(Hp, Xr, Cr, weights=w)
+    g_theta = pair.gen.grad_log_joint(X, Hp, C, weights=w, acts=pa)
+    g_phi = pair.inf.grad_log_q(Hp, X, C, weights=w, acts=qa)
     nll_proxy = float(np.mean(-evaluation.log_mean_exp(logw)))
     return GradEstimate(g_theta, g_phi, m * P, m * P, nll_proxy)
 
@@ -342,6 +355,18 @@ def _dataset_arrays(dataset):
     return np.asarray(items, dtype=np.float64), contexts
 
 
+def _snapshot(pair, adam):
+    """lam and the Adam moments and step, as a divergence rolls them back."""
+    return pair.copy_lam(), adam.m.copy(), adam.v.copy(), adam.step
+
+
+def _restore(pair, adam, snap):
+    lam, m, v, adam.step = snap
+    pair.set_lam(lam)
+    adam.m[:] = m
+    adam.v[:] = v
+
+
 def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
           algorithm: str = "jsa", on_update=None, on_epoch=None,
           timing: bool = True) -> TrainResult:
@@ -353,7 +378,8 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     sample stream each time, so values are comparable across epochs; the
     parameters with the lowest validation NLL are retained in best_lam.
     Raises TrainingDiverged (carrying the result so far, with parameters
-    restored to the last finished epoch) on numeric blow-up.
+    and the Adam moments and step restored to the last finished epoch) on
+    numeric blow-up.
     """
     if algorithm not in ("jsa", "rws"):
         raise ConfigError(f"unknown algorithm '{algorithm}'")
@@ -369,7 +395,7 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     adam = AdamState.for_size(pair.lam.size, lr=config.lr)
     widths = [spec.width for spec in pair.layer_specs]
     result = TrainResult(cache=LatentCache(n, widths), adam=adam)
-    last_good = pair.copy_lam()
+    last_good = _snapshot(pair, adam)
     t0 = time.perf_counter()
 
     for epoch in range(1, config.total_epochs + 1):
@@ -405,7 +431,7 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
                 if on_update is not None:
                     on_update(epoch, ep_updates, pair, est)
         except NumericError as exc:
-            pair.set_lam(last_good)
+            _restore(pair, adam, last_good)
             result.elapsed = time.perf_counter() - t0
             raise TrainingDiverged(str(exc), result=result) from exc
 
@@ -423,7 +449,7 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
                 result.best_val_nll = vnll
                 result.best_lam = pair.copy_lam()
                 result.best_epoch = epoch
-        last_good = pair.copy_lam()
+        last_good = _snapshot(pair, adam)
         result.epochs_run = epoch
         if on_epoch is not None:
             on_epoch(epoch, pair, result)

@@ -10,6 +10,16 @@ Conventions used throughout:
 * Every operation accepts a single sample (1D arrays) or a batch (2D arrays,
   rows are samples). Gradients over a batch are sums over rows unless a
   per-row weight vector is supplied.
+* A batch may give x (and c) once per datapoint while h holds several
+  latent rows per datapoint, grouped by datapoint. The nets that read the
+  datapoint itself (encoder net 0, a conditional prior net) then run once
+  per datapoint; the others run once per latent row.
+* Scoring a batch can return its forward pass as an ``Activations`` record
+  (``return_acts=True``), and the gradient methods take it back
+  (``acts=``), so each row goes through each net once and the gradient
+  back-propagates the stored activations. Records travel only as explicit
+  arguments and return values; called with plain arrays, the gradient
+  methods run the same forward pass themselves.
 * A ``ModelPair`` owns one flat parameter vector ``lam``; the generative
   parameters ``theta`` are the leading block and the inference parameters
   ``phi`` the trailing block, each a live view. Optimizer updates applied to
@@ -119,6 +129,92 @@ def _rows(*arrays):
     return tuple(a[None, :] for a in arrays), False
 
 
+def _group(n_data, n_rows):
+    """Latent rows per datapoint when n_rows latent rows share n_data
+    datapoints, grouped by datapoint."""
+    if n_rows == n_data:
+        return 1
+    if n_data and n_rows > n_data and n_rows % n_data == 0:
+        return n_rows // n_data
+    raise ShapeError(f"{n_rows} latent rows do not split evenly over "
+                     f"{n_data} datapoints")
+
+
+def _by_datapoint(a, group):
+    """(m * group, width) latent-row array as (m, group, width)."""
+    return a.reshape(-1, group, a.shape[-1])
+
+
+def _row_weights(weights, n):
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ShapeError(f"weights shape {w.shape}, expected ({n},)")
+    return w
+
+
+def _kept(acts, keep):
+    """A net's activation list, or only its output when the caller needs no
+    gradient (so the hidden activations are freed at once)."""
+    return acts if keep else acts[-1:]
+
+
+def join_rows(a, b, m):
+    """Rows of a and b merged datapoint by datapoint: for each of the m
+    datapoints, its rows of a, then its rows of b. Both inputs hold their
+    rows grouped by datapoint, as sample_q returns them."""
+    tail = a.shape[1:]
+    return np.concatenate([a.reshape(m, -1, *tail), b.reshape(m, -1, *tail)],
+                          axis=1).reshape(-1, *tail)
+
+
+@dataclass
+class Activations:
+    """One model's forward pass over a batch, kept for its gradient.
+
+    Model methods hand it out as a return value (``return_acts=True``) and
+    take it back as the ``acts`` argument; no model, net or layer keeps it.
+    ``data`` is the activation list of the net that reads the datapoint
+    itself (encoder net 0, or the prior net of a conditional model; None
+    for a free prior), one row per datapoint. ``nets[k]`` is the activation
+    list of net k over the latent rows, or None for a net that reads only
+    the datapoint. The latent rows come in ``group`` consecutive rows per
+    datapoint.
+    """
+
+    data: list | None
+    nets: list
+    group: int
+
+    def take(self, rows):
+        """The record of the latent rows ``rows``, an (m, k) index array
+        whose row j picks rows of datapoint j; the datapoint pass is
+        shared."""
+        flat = rows.reshape(-1)
+        nets = [None if a is None else [t[flat] for t in a] for a in self.nets]
+        return Activations(self.data, nets, rows.shape[1])
+
+    def join(self, other):
+        """Per datapoint, this record's latent rows, then other's. Both
+        records must share one datapoint pass."""
+        if other.data is not self.data:
+            raise ShapeError("joined records must share their datapoint pass")
+        nets = []
+        for a, b in zip(self.nets, other.nets):
+            if a is None:
+                nets.append(None)
+            else:
+                m = a[0].shape[0] // self.group
+                nets.append([join_rows(s, t, m) for s, t in zip(a, b)])
+        return Activations(self.data, nets, self.group + other.group)
+
+    def datapoints(self, sel):
+        """The datapoint pass of the datapoints ``sel`` alone, with no
+        latent rows (for sampling those datapoints again)."""
+        return Activations([t[sel] for t in self.data], [], 1)
+
+
 class GenerativeModel:
     """Latent-variable generative model p(x, h) (optionally p(x, h | c)).
 
@@ -185,55 +281,83 @@ class GenerativeModel:
             return clamped_sigmoid(self.prior_logits)
         return group_softmax(self.prior_logits, spec.n_vars, spec.n_categories)
 
-    def log_joint(self, x, h, c=None):
-        """log p(x, h) (or log p(x, h | c)); float for 1D inputs, (N,) for 2D."""
+    def _forward(self, h2, c2, group, keep):
+        """Every net's pass: the prior net over the contexts, each decoder
+        net over the latent rows."""
+        data = None
+        if self.prior_net is not None:
+            data = _kept(self.prior_net.forward(c2), keep)
+        nets = [None] * self.n_layers
+        for k in range(self.n_layers - 1, 0, -1):
+            nets[k] = _kept(self.decoder_nets[k].forward(h2[k]), keep)
+        dec_in = h2[0] if c2 is None else np.concatenate(
+            [h2[0], np.repeat(c2, group, axis=0)], axis=-1)
+        nets[0] = _kept(self.decoder_nets[0].forward(dec_in), keep)
+        return Activations(data, nets, group)
+
+    def _inputs(self, x, h, c):
+        """Validated 2D inputs plus the latent rows per datapoint."""
         self._check_inputs(x, h, c)
-        batched = x.ndim == 2
         (x2, *h2), _ = _rows(x, *h)
         c2 = None
         if c is not None:
             (c2,), _ = _rows(c)
+        return x2, h2, c2, _group(x2.shape[0], h2[0].shape[0])
 
+    def log_joint(self, x, h, c=None, return_acts=False):
+        """log p(x, h) (or log p(x, h | c)); float for 1D inputs, one entry
+        per latent row for 2D.
+
+        x (and c) may hold fewer rows than h: h's rows then come in equal
+        consecutive groups, one group per datapoint. With return_acts the
+        result is (log p, acts), the record grad_log_joint reuses.
+        """
+        x2, h2, c2, group = self._inputs(x, h, c)
+        acts = self._forward(h2, c2, group, keep=return_acts)
         top_spec = self.layer_specs[-1]
-        total = top_spec.log_mass(self._prior_probs(c2), h2[-1])
+        if acts.data is None:
+            total = top_spec.log_mass(self._prior_probs(None), h2[-1])
+        else:
+            total = top_spec.log_mass(acts.data[-1][:, None],
+                                      _by_datapoint(h2[-1], group)).ravel()
         for k in range(self.n_layers - 1, 0, -1):
-            probs = self.decoder_nets[k].forward(h2[k])[-1]
-            total = total + self.layer_specs[k - 1].log_mass(probs, h2[k - 1])
-        dec_in = h2[0] if c2 is None else np.concatenate([h2[0], c2], axis=-1)
-        probs = self.decoder_nets[0].forward(dec_in)[-1]
+            total = total + self.layer_specs[k - 1].log_mass(
+                acts.nets[k][-1], h2[k - 1])
         total = total + StochasticLayerSpec.bernoulli(self.obs_width).log_mass(
-            probs, x2)
-        return total if batched else float(total[0])
+            _by_datapoint(acts.nets[0][-1], group), x2[:, None]).ravel()
+        out = total if x.ndim == 2 else float(total[0])
+        return (out, acts) if return_acts else out
 
-    def grad_log_joint(self, x, h, c=None, weights=None):
+    def grad_log_joint(self, x, h, c=None, weights=None, acts=None):
         """Gradient of log p(x, h) w.r.t. theta, flat (n_params,).
 
-        For batched inputs the result is sum_i weights[i] * grad_i
-        (weights default to all ones).
+        For batched inputs the result is sum_i weights[i] * grad_i over the
+        latent rows (weights default to all ones); x and c may be grouped as
+        in log_joint. acts is the record log_joint returned for exactly
+        these rows (Activations.take selects rows of it); without it the
+        forward pass is recomputed.
         """
-        self._check_inputs(x, h, c)
-        (x2, *h2), batched = _rows(x, *h)
-        c2 = None
-        if c is not None:
-            (c2,), _ = _rows(c)
-        n = x2.shape[0]
-        if weights is None:
-            w = np.ones(n)
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            if w.shape != (n,):
-                raise ShapeError(f"weights shape {w.shape}, expected ({n},)")
+        x2, h2, c2, group = self._inputs(x, h, c)
+        w = _row_weights(weights, h2[0].shape[0])[:, None]
+        if acts is None:
+            acts = self._forward(h2, c2, group, keep=True)
+        elif acts.group != group:
+            raise ShapeError(f"activations hold {acts.group} rows per "
+                             f"datapoint, h holds {group}")
 
         g = np.zeros(self.n_params)
         top_spec = self.layer_specs[-1]
         if self.prior_net is not None:
-            acts = self.prior_net.forward(c2)
-            gout = top_spec.mass_dprobs(acts[-1], h2[-1]) * w[:, None]
-            pg, _ = self.prior_net.backward(acts, gout)
+            # Every latent row of a datapoint shares its prior pass: sum
+            # their output gradients and back-propagate one row each.
+            gout = (top_spec.mass_dprobs(acts.data[-1][:, None],
+                                         _by_datapoint(h2[-1], group))
+                    * _by_datapoint(w, group)).sum(axis=1)
+            pg, _ = self.prior_net.backward(acts.data, gout)
             g[self.prior_slice] = pg
         else:
             probs = self._prior_probs(None)
-            dmass = top_spec.mass_dprobs(probs, h2[-1]) * w[:, None]
+            dmass = top_spec.mass_dprobs(probs, h2[-1]) * w
             probs2 = np.broadcast_to(probs, dmass.shape)
             if top_spec.kind == "bernoulli":
                 glogits = clamped_sigmoid_vjp(probs2, dmass)
@@ -243,18 +367,16 @@ class GenerativeModel:
             g[self.prior_slice] = glogits.sum(axis=0)
 
         for k in range(self.n_layers - 1, 0, -1):
-            net = self.decoder_nets[k]
-            acts = net.forward(h2[k])
-            gout = self.layer_specs[k - 1].mass_dprobs(acts[-1], h2[k - 1])
-            pg, _ = net.backward(acts, gout * w[:, None])
+            a = acts.nets[k]
+            gout = self.layer_specs[k - 1].mass_dprobs(a[-1], h2[k - 1])
+            pg, _ = self.decoder_nets[k].backward(a, gout * w)
             g[self.decoder_slices[k]] = pg
 
-        dec_in = h2[0] if c2 is None else np.concatenate([h2[0], c2], axis=-1)
-        net = self.decoder_nets[0]
-        acts = net.forward(dec_in)
+        a = acts.nets[0]
         obs_spec = StochasticLayerSpec.bernoulli(self.obs_width)
-        gout = obs_spec.mass_dprobs(acts[-1], x2) * w[:, None]
-        pg, _ = net.backward(acts, gout)
+        gout = obs_spec.mass_dprobs(_by_datapoint(a[-1], group),
+                                    x2[:, None]).reshape(a[-1].shape) * w
+        pg, _ = self.decoder_nets[0].backward(a, gout)
         g[self.decoder_slices[0]] = pg
         return g
 
@@ -286,7 +408,8 @@ class InferenceModel:
 
     Encoder net 0 maps the observation (the full context+observation vector
     when conditional) to the distribution of h[0]; encoder net k maps the
-    sampled h[k-1] to the distribution of h[k].
+    sampled h[k-1] to the distribution of h[k]. Encoder net 0 runs once per
+    datapoint however many latent rows share that datapoint.
     """
 
     def __init__(self, layer_specs, encoder_nets, obs_width, params,
@@ -328,71 +451,113 @@ class InferenceModel:
             raise ShapeError(
                 f"observation width {x.shape[-1]}, expected {self.obs_width}")
 
-    def log_q(self, h, x, c=None):
-        """log q(h | x); float for 1D inputs, (N,) for 2D."""
+    def _inputs(self, h, x, c):
+        """Validated 2D inputs plus the latent rows per datapoint."""
         self._check(h, x)
-        batched = x.ndim == 2
         (x2, *h2), _ = _rows(x, *h)
         c2 = None
         if c is not None:
             (c2,), _ = _rows(c)
-        inp = self._enc_input(x2, c2)
-        total = 0.0
-        for k in range(self.n_layers):
-            probs = self.encoder_nets[k].forward(inp)[-1]
-            total = total + self.layer_specs[k].log_mass(probs, h2[k])
-            inp = h2[k]
-        return total if batched else float(total[0])
+        return x2, h2, c2, _group(x2.shape[0], h2[0].shape[0])
 
-    def grad_log_q(self, h, x, c=None, weights=None):
+    def _data_pass(self, x2, c2, acts, keep):
+        """Encoder net 0 over the datapoints, or the pass acts already
+        holds for them."""
+        if acts is not None:
+            return acts.data
+        return _kept(self.encoder_nets[0].forward(self._enc_input(x2, c2)),
+                     keep)
+
+    def _log_mass(self, acts, h2):
+        """log q of each latent row from the nets' outputs in acts."""
+        total = self.layer_specs[0].log_mass(
+            acts.data[-1][:, None], _by_datapoint(h2[0], acts.group)).ravel()
+        for k in range(1, self.n_layers):
+            total = total + self.layer_specs[k].log_mass(acts.nets[k][-1],
+                                                         h2[k])
+        return total
+
+    def _forward(self, x2, c2, h2, group, acts, keep):
+        nets = [None] * self.n_layers
+        for k in range(1, self.n_layers):
+            nets[k] = _kept(self.encoder_nets[k].forward(h2[k - 1]), keep)
+        return Activations(self._data_pass(x2, c2, acts, keep), nets, group)
+
+    def log_q(self, h, x, c=None, acts=None, return_acts=False):
+        """log q(h | x); float for 1D inputs, one entry per latent row for
+        2D.
+
+        x (and c) may hold fewer rows than h, grouped as in
+        GenerativeModel.log_joint. acts is a record from an earlier call on
+        the same x and c; its encoder-net-0 pass is reused. With return_acts
+        the result is (log q, acts), the record grad_log_q reuses.
+        """
+        x2, h2, c2, group = self._inputs(h, x, c)
+        rec = self._forward(x2, c2, h2, group, acts, keep=return_acts)
+        total = self._log_mass(rec, h2)
+        out = total if x.ndim == 2 else float(total[0])
+        return (out, rec) if return_acts else out
+
+    def grad_log_q(self, h, x, c=None, weights=None, acts=None):
         """Gradient of log q(h | x) w.r.t. phi, flat (n_params,); batched
-        rows are summed with optional per-row weights."""
-        self._check(h, x)
-        (x2, *h2), _ = _rows(x, *h)
-        c2 = None
-        if c is not None:
-            (c2,), _ = _rows(c)
-        n = x2.shape[0]
-        if weights is None:
-            w = np.ones(n)
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            if w.shape != (n,):
-                raise ShapeError(f"weights shape {w.shape}, expected ({n},)")
+        latent rows are summed with optional per-row weights. acts is the
+        record log_q or sample_q returned for exactly these rows
+        (Activations.take selects rows of it); without it the forward pass
+        is recomputed."""
+        x2, h2, c2, group = self._inputs(h, x, c)
+        w = _row_weights(weights, h2[0].shape[0])[:, None]
+        if acts is None:
+            acts = self._forward(x2, c2, h2, group, None, keep=True)
+        elif acts.group != group:
+            raise ShapeError(f"activations hold {acts.group} rows per "
+                             f"datapoint, h holds {group}")
 
         g = np.zeros(self.n_params)
-        inp = self._enc_input(x2, c2)
-        for k in range(self.n_layers):
-            net = self.encoder_nets[k]
-            acts = net.forward(inp)
-            gout = self.layer_specs[k].mass_dprobs(acts[-1], h2[k]) * w[:, None]
-            pg, _ = net.backward(acts, gout)
+        # The latent rows of a datapoint share its encoder-net-0 pass: sum
+        # their output gradients and back-propagate one row per datapoint.
+        gout = (self.layer_specs[0].mass_dprobs(acts.data[-1][:, None],
+                                                _by_datapoint(h2[0], group))
+                * _by_datapoint(w, group)).sum(axis=1)
+        pg, _ = self.encoder_nets[0].backward(acts.data, gout)
+        g[self.encoder_slices[0]] = pg
+        for k in range(1, self.n_layers):
+            a = acts.nets[k]
+            gout = self.layer_specs[k].mass_dprobs(a[-1], h2[k]) * w
+            pg, _ = self.encoder_nets[k].backward(a, gout)
             g[self.encoder_slices[k]] = pg
-            inp = h2[k]
         return g
 
-    def sample_q(self, x, c=None, rng=None, return_log_q=False):
-        """Ancestral sample h ~ q(. | x); h layers match x's ndim."""
-        batched = x.ndim == 2
+    def sample_q(self, x, c=None, rng=None, return_log_q=False, *,
+                 n_samples=1, acts=None, return_acts=False):
+        """Ancestral sample h ~ q(. | x), n_samples latent rows per
+        datapoint: rows j*n_samples to (j+1)*n_samples - 1 belong to x[j],
+        drawn in that order. For 1D x and one sample the layers are 1D.
+
+        acts is a record from an earlier call on the same x and c; its
+        encoder-net-0 pass is reused. return_log_q adds log q(h | x);
+        return_acts returns (h, log q, acts), the record grad_log_q reuses.
+        """
         (x2,), _ = _rows(x)
         c2 = None
         if c is not None:
             (c2,), _ = _rows(c)
-        inp = self._enc_input(x2, c2)
-        h = []
-        logq = 0.0
-        for k, spec in enumerate(self.layer_specs):
-            probs = self.encoder_nets[k].forward(inp)[-1]
-            hk = spec.sample(probs, rng)
-            if return_log_q:
-                logq = logq + spec.log_mass(probs, hk)
-            h.append(hk)
-            inp = hk
-        if not batched:
+        m, n = x2.shape[0], n_samples
+        data = self._data_pass(x2, c2, acts, return_acts)
+        spec = self.layer_specs[0]
+        probs = np.broadcast_to(data[-1][:, None], (m, n, spec.width))
+        h = [spec.sample(probs, rng).reshape(m * n, spec.width)]
+        nets = [None] * self.n_layers
+        for k in range(1, self.n_layers):
+            nets[k] = _kept(self.encoder_nets[k].forward(h[-1]), return_acts)
+            h.append(self.layer_specs[k].sample(nets[k][-1], rng))
+        rec = Activations(data, nets, n)
+        logq = self._log_mass(rec, h) if return_log_q or return_acts else None
+        if x.ndim == 1 and n == 1:
             h = [hk[0] for hk in h]
-        if return_log_q:
-            return h, (logq if batched else float(logq[0]))
-        return h
+            logq = None if logq is None else float(logq[0])
+        if return_acts:
+            return h, logq, rec
+        return (h, logq) if return_log_q else h
 
 
 class ModelPair:

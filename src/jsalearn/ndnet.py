@@ -10,7 +10,7 @@ parameters in a single optimizer-ready vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -266,7 +266,12 @@ class LayeredNet:
 @dataclass
 class AdamState:
     """First/second moment accumulators for Adam. Minimization convention:
-    adam_step moves params against the supplied gradient."""
+    adam_step moves params against the supplied gradient.
+
+    adam_step works in two params-sized scratch buffers, made on first use
+    and kept here; they carry nothing from one step to the next and are
+    not part of the optimizer state a checkpoint saves.
+    """
 
     m: DenseArray
     v: DenseArray
@@ -275,6 +280,7 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     lr: float = 1e-3
+    scratch: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def for_size(cls, n: int, lr: float, **kw) -> "AdamState":
@@ -282,22 +288,37 @@ class AdamState:
 
 
 def adam_step(params: DenseArray, grads: DenseArray, state: AdamState):
-    """One Adam update, in place on params. Returns (params, state)."""
+    """One Adam update, in place on params. Returns (params, state).
+
+    Allocation-free after the first step: every product and quotient is
+    written into the state's two scratch buffers, in the order of the
+    textbook formula, so the results are bit-identical to it.
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError(
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape} "
             "must all agree")
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient passed to adam_step")
+    if len(state.scratch) != 2 or state.scratch[0].shape != params.shape:
+        state.scratch = (np.empty(params.shape), np.empty(params.shape))
+    a, b = state.scratch
     state.step += 1
     t = state.step
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
+    np.multiply(grads, 1.0 - state.beta1, out=a)
+    state.m += a
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(grads, 1.0 - state.beta2, out=a)
+    a *= grads
+    state.v += a
+    np.divide(state.m, 1.0 - state.beta1 ** t, out=a)     # m_hat
+    a *= state.lr
+    np.divide(state.v, 1.0 - state.beta2 ** t, out=b)     # v_hat
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    params -= a
     return params, state
 
 

@@ -172,6 +172,127 @@ class TestMoveLoop:
         assert np.array_equal(counts, ref)
 
 
+def reference_update(pair, cache, batch, config, rng, *, use_cache,
+                     update_cache=True, accept_rule=None):
+    """The minibatch update with every net run on every row: x repeated K
+    times, start states scored in their own calls, and both gradients
+    recomputing the forward pass on the chosen rows from plain arrays."""
+    idxs = [int(b[0]) for b in batch]
+    X = np.stack([b[1] for b in batch])
+    C = np.stack([b[2] for b in batch]) if pair.context_width else None
+    m, K = len(idxs), config.particle_number
+    Xr = np.repeat(X, K, axis=0)
+    Cr = None if C is None else np.repeat(C, K, axis=0)
+    Hp, logq_p = pair.inf.sample_q(Xr, Cr, rng=rng, return_log_q=True)
+    logw_p = (pair.gen.log_joint(Xr, Hp, Cr) - logq_p).reshape(m, K)
+    if not use_cache:
+        H0 = pair.inf.sample_q(X, C, rng=rng)
+    else:
+        H0, seen = cache.get(idxs)
+        if not seen.all():
+            fresh = ~seen
+            Hf = pair.inf.sample_q(X[fresh], None if C is None else C[fresh],
+                                   rng=rng)
+            for h0, hf in zip(H0, Hf):
+                h0[fresh] = hf
+    logw_0 = jsa.log_importance_weight(pair, X, H0, C)
+    pos, accepted = reference_moves(logw_0, logw_p, rng, accept_rule)
+    j = np.arange(m)[:, None]
+    rows = np.where(pos < 0, j, m + j * K + pos)
+    stacked = [np.concatenate([h0, hp]) for h0, hp in zip(H0, Hp)]
+    Hsel = [lay[rows.reshape(-1)] for lay in stacked]
+    w = np.full(m * K, 1.0 / (m * K))
+    g_theta = pair.gen.grad_log_joint(Xr, Hsel, Cr, weights=w)
+    g_phi = pair.inf.grad_log_q(Hsel, Xr, Cr, weights=w)
+    if use_cache and update_cache:
+        cache.put(idxs, [lay[rows[:, -1]] for lay in stacked])
+    nll_proxy = float(np.mean(-ev.log_mean_exp(logw_p)))
+    return jsa.GradEstimate(g_theta, g_phi, accepted, m * K, nll_proxy)
+
+
+def coin(delta, rng):
+    """A custom rule that draws from the generator itself."""
+    return rng.random() < 0.5
+
+
+def parity_pair(family):
+    from jsalearn.models import build_conditional
+    rng = np.random.default_rng(31)
+    if family in ("linear", "two-layers"):
+        pair = build_architecture(family)
+        pair.lam[:] = rng.normal(scale=0.05, size=pair.lam.size)
+    else:
+        pair = (build_conditional(6, 4, 3, [5]) if family == "structured"
+                else build_architecture("enc: 6-5l-6~C2x3; dec: C2x3-5l-6s"))
+        pair.lam[:] = rng.normal(scale=0.8, size=pair.lam.size)
+    return pair
+
+
+class TestScoreOnceParity:
+    """The update against reference_update on the same random stream."""
+
+    @pytest.mark.parametrize("rule", [None, coin],
+                             ids=["default", "coin"])
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("use_cache", [False, True],
+                             ids=["fresh", "cache"])
+    @pytest.mark.parametrize("family", ["linear", "two-layers", "categorical",
+                                        "structured"])
+    def test_matches_reference_update(self, family, use_cache, K, rule):
+        pair = parity_pair(family)
+        data = np.random.default_rng(7)
+        m, n = 6, 9
+        X = (data.random((n, pair.gen.obs_width)) < 0.5).astype(float)
+        C = None
+        if pair.context_width:
+            C = (data.random((n, pair.context_width)) < 0.5).astype(float)
+        caches = [LatentCache(n, [s.width for s in pair.layer_specs])
+                  for _ in range(2)]
+        # Half the batch has cached chains, half starts fresh.
+        seeded = [1, 4, 6]
+        states = pair.inf.sample_q(X[seeded],
+                                   None if C is None else C[seeded], rng=data)
+        for cache in caches:
+            cache.put(seeded, states)
+        idx = [4, 0, 6, 2, 1, 8][:m]
+        batch = [(i, X[i], None if C is None else C[i]) for i in idx]
+        cfg = JsaConfig(particle_number=K)
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(2):  # the second round starts from updated caches
+            est = jsa.jsa_minibatch_update(pair, caches[0], batch, cfg, rng_a,
+                                           use_cache=use_cache,
+                                           accept_rule=rule)
+            ref = reference_update(pair, caches[1], batch, cfg, rng_b,
+                                   use_cache=use_cache, accept_rule=rule)
+            assert est.accept_count == ref.accept_count
+            assert est.proposal_count == ref.proposal_count == m * K
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            for a, b in zip(caches[0].layers + [caches[0].seen],
+                            caches[1].layers + [caches[1].seen]):
+                assert np.array_equal(a, b)
+            assert ev.rel_deviation(est.g_theta, ref.g_theta) <= 1e-12
+            assert ev.rel_deviation(est.g_phi, ref.g_phi) <= 1e-12
+            assert est.nll_proxy == pytest.approx(ref.nll_proxy, abs=1e-9)
+
+    def test_rws_matches_repeated_rows(self):
+        pair = parity_pair("structured")
+        data = np.random.default_rng(3)
+        X = (data.random((4, 6)) < 0.5).astype(float)
+        C = (data.random((4, 4)) < 0.5).astype(float)
+        est = jsa.rws_minibatch_update(
+            pair, [(i, X[i], C[i]) for i in range(4)], 3,
+            np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        Xr, Cr = np.repeat(X, 3, axis=0), np.repeat(C, 3, axis=0)
+        h, logw = ev.importance_sample(pair, Xr, Cr, rng)
+        logw = logw.reshape(4, 3)
+        w = np.exp(logw - logsumexp(logw, axis=1, keepdims=True)).ravel() / 4
+        assert ev.rel_deviation(
+            est.g_theta, pair.gen.grad_log_joint(Xr, h, Cr, weights=w)) <= 1e-12
+        assert ev.rel_deviation(
+            est.g_phi, pair.inf.grad_log_q(h, Xr, Cr, weights=w)) <= 1e-12
+
+
 class TestMisStep:
     """One move of a chain, through the minibatch update with K=1 and
     chains started from cached states."""
@@ -413,6 +534,25 @@ class TestTrain:
         assert np.array_equal(pair1.lam, pair2.lam)
         assert r1.metrics == r2.metrics
 
+    def test_linear_preset_deterministic_with_other_training_between(self):
+        # Repetitions of one seed must end bit-identical even when another
+        # model trains in between (as benchmark repetitions do).
+        from jsalearn.data import surrogate_images
+        train, valid = surrogate_images(60, 20, seed=3)
+        cfg = JsaConfig(particle_number=2, minibatch_size=10, total_epochs=3,
+                        stage1_epochs=2, seed=3, eval_every=3, val_samples=10)
+
+        def run(arch):
+            pair = build_architecture(arch, seed=3)
+            res = jsa.train(pair, train, cfg, valid=valid, timing=False)
+            return pair.lam.copy(), res.metrics
+
+        lam1, metrics1 = run("linear")
+        run("enc: 784-30l-12~C3x4; dec: C3x4-30l-784s")
+        lam2, metrics2 = run("linear")
+        assert np.array_equal(lam1, lam2)
+        assert metrics1 == metrics2
+
     def test_cache_respects_stage_boundary(self):
         pair, ds = self.small_problem()
         cfg = JsaConfig(minibatch_size=20, total_epochs=3, stage1_epochs=3,
@@ -446,6 +586,31 @@ class TestTrain:
         assert np.isfinite(pair.lam).all()
         assert np.array_equal(pair.lam, snap)  # rolled back to last good epoch
         assert e.value.result.epochs_run < 10
+        # the Adam state rolls back with lam: here to before the first step
+        adam = e.value.result.adam
+        assert adam.step == 0
+        assert not adam.m.any() and not adam.v.any()
+
+    def test_divergence_restores_adam_state_of_last_good_epoch(self):
+        pair, ds = self.small_problem()
+        cfg = JsaConfig(minibatch_size=20, total_epochs=4, stage1_epochs=4,
+                        lr=1e-3, seed=4)
+        saved = {}
+
+        def on_epoch(epoch, p, result):
+            saved[epoch] = (p.copy_lam(), result.adam.m.copy(),
+                            result.adam.v.copy(), result.adam.step)
+            if epoch == 2:  # make the next epoch diverge
+                cfg.lambda_bound = 0.0
+
+        with pytest.raises(jsa.TrainingDiverged) as e:
+            jsa.train(pair, ds, cfg, on_epoch=on_epoch, timing=False)
+        adam = e.value.result.adam
+        lam, m, v, step = saved[2]
+        assert e.value.result.epochs_run == 2
+        assert np.array_equal(pair.lam, lam)
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+        assert adam.step == step == 2 * 3
 
     def test_best_lam_tracks_minimum_validation(self):
         pair, ds = self.small_problem(n=80)
@@ -497,6 +662,7 @@ class TestCheckpoint:
         cache = LatentCache(4, [3])
         cache.put(3, [np.array([1.0, 0.0, 1.0])])
         adam = jsa.AdamState.for_size(pair.lam.size, lr=2e-3)
+        jsa.adam_step(pair.lam.copy(), np.ones(pair.lam.size), adam)
         adam.m[:] = rng.normal(size=adam.m.size)
         adam.step = 17
         path = tmp_path / "model.ckpt"
@@ -507,6 +673,8 @@ class TestCheckpoint:
         assert np.array_equal(back.lam, pair.lam)
         assert payload["epoch"] == 9
         assert payload["extra"]["task"] == "generative-bernoulli"
+        assert set(payload["adam"]) == {"m", "v", "step", "beta1", "beta2",
+                                        "eps", "lr"}  # no scratch buffers
         adam2 = jsa.restore_adam(payload)
         assert adam2.step == 17 and adam2.lr == 2e-3
         assert np.array_equal(adam2.m, adam.m)

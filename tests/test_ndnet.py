@@ -229,6 +229,54 @@ class TestAdam:
         np.testing.assert_array_equal(runs[0], runs[1])
 
 
+def textbook_adam_step(params, grads, state):
+    """Adam written as one expression per line, with a fresh temporary for
+    every product: the reference for adam_step's buffered arithmetic."""
+    state.step += 1
+    t = state.step
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grads * grads
+    m_hat = state.m / (1.0 - state.beta1 ** t)
+    v_hat = state.v / (1.0 - state.beta2 ** t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+class TestBufferedAdam:
+    def test_bit_identical_to_textbook_formula(self):
+        rng = np.random.default_rng(40)
+        n = 1000
+        p_a = rng.normal(size=n)
+        p_b = p_a.copy()
+        s_a = AdamState.for_size(n, lr=3e-4)
+        s_b = AdamState.for_size(n, lr=3e-4)
+        for _ in range(40):
+            g = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=n)
+            adam_step(p_a, g, s_a)
+            textbook_adam_step(p_b, g, s_b)
+            assert np.array_equal(p_a, p_b)
+            assert np.array_equal(s_a.m, s_b.m)
+            assert np.array_equal(s_a.v, s_b.v)
+            assert s_a.step == s_b.step
+
+    def test_scratch_reused_and_not_in_compare_or_repr(self):
+        st_ = AdamState.for_size(3, lr=0.1)
+        params = np.zeros(3)
+        adam_step(params, np.ones(3), st_)
+        bufs = [id(b) for b in st_.scratch]
+        adam_step(params, np.ones(3), st_)
+        assert [id(b) for b in st_.scratch] == bufs
+        assert "scratch" not in repr(st_)
+        # a restored state (no scratch yet) steps like the original
+        twin = AdamState(m=st_.m.copy(), v=st_.v.copy(), step=st_.step,
+                         lr=0.1)
+        p2 = params.copy()
+        adam_step(params, np.full(3, 0.5), st_)
+        adam_step(p2, np.full(3, 0.5), twin)
+        assert np.array_equal(params, p2)
+
+
 class TestFiniteDiff:
     def test_quadratic(self):
         g = finite_diff_grad(lambda p: float(p[0] ** 2), np.array([3.0]))
