@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import NumericError, ShapeError, StateError
 
@@ -27,17 +28,15 @@ DEFAULT_LEAKY_SLOPE = 0.01
 
 
 def sigmoid(a: DenseArray) -> DenseArray:
-    """Numerically stable elementwise logistic function."""
-    out = np.empty_like(a, dtype=np.float64)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    """Numerically stable elementwise logistic function (a new array)."""
+    return expit(np.asarray(a, dtype=np.float64))
 
 
 def clamped_sigmoid(a: DenseArray) -> DenseArray:
-    return np.clip(sigmoid(a), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    """sigmoid clamped into [PROB_CLAMP, 1-PROB_CLAMP]. The clamp works in
+    the new array, never in a (which may be a read-only parameter view)."""
+    out = sigmoid(a)
+    return np.clip(out, PROB_CLAMP, 1.0 - PROB_CLAMP, out=out)
 
 
 def clamped_sigmoid_vjp(out: DenseArray, grad: DenseArray) -> DenseArray:
