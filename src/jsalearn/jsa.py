@@ -65,11 +65,6 @@ CHECKPOINT_MAGIC = b"JSACKPT\x01"
 CHAIN_SLICE = 1 << 16
 
 
-def log_importance_weight(pair: ModelPair, x, h, c=None):
-    """log w(h) = log p(x,h) - log q(h|x); scalar or per-row for batches."""
-    return pair.gen.log_joint(x, h, c) - pair.inf.log_q(h, x, c)
-
-
 def _log_uniforms(rng, n):
     """math.log of n uniforms drawn in one rng.random block; a uniform of
     exactly 0 reads as -inf. math.log, not np.log: the two differ in the

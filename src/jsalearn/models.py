@@ -121,21 +121,21 @@ class StochasticLayerSpec:
             raise DomainError("categorical latent groups must be one-hot")
 
 
-def _rows(*arrays):
-    """Promote 1D arrays to single-row 2D; returns (arrays, was_batched)."""
-    batched = arrays[0].ndim == 2
-    if batched:
-        return arrays, True
-    return tuple(a[None, :] for a in arrays), False
+def _2d(a):
+    """A 1D array as a single row; 2D arrays pass through."""
+    return a[None, :] if a.ndim == 1 else a
 
 
-def _group(n_data, n_rows):
-    """Latent rows per datapoint when n_rows latent rows share n_data
-    datapoints, grouped by datapoint."""
+def _batch(x, h, c):
+    """2D views of x, h and c, plus the latent rows per datapoint: x and c
+    hold one row per datapoint, h one or more, grouped by datapoint."""
+    x2, h2 = _2d(x), [_2d(hk) for hk in h]
+    c2 = None if c is None else _2d(c)
+    n_data, n_rows = x2.shape[0], h2[0].shape[0]
     if n_rows == n_data:
-        return 1
+        return x2, h2, c2, 1
     if n_data and n_rows > n_data and n_rows % n_data == 0:
-        return n_rows // n_data
+        return x2, h2, c2, n_rows // n_data
     raise ShapeError(f"{n_rows} latent rows do not split evenly over "
                      f"{n_data} datapoints")
 
@@ -152,6 +152,13 @@ def _row_weights(weights, n):
     if w.shape != (n,):
         raise ShapeError(f"weights shape {w.shape}, expected ({n},)")
     return w
+
+
+def _reused(acts, group):
+    if acts.group != group:
+        raise ShapeError(f"activations hold {acts.group} rows per datapoint, "
+                         f"h holds {group}")
+    return acts
 
 
 def _kept(acts, keep):
@@ -295,15 +302,6 @@ class GenerativeModel:
         nets[0] = _kept(self.decoder_nets[0].forward(dec_in), keep)
         return Activations(data, nets, group)
 
-    def _inputs(self, x, h, c):
-        """Validated 2D inputs plus the latent rows per datapoint."""
-        self._check_inputs(x, h, c)
-        (x2, *h2), _ = _rows(x, *h)
-        c2 = None
-        if c is not None:
-            (c2,), _ = _rows(c)
-        return x2, h2, c2, _group(x2.shape[0], h2[0].shape[0])
-
     def log_joint(self, x, h, c=None, return_acts=False):
         """log p(x, h) (or log p(x, h | c)); float for 1D inputs, one entry
         per latent row for 2D.
@@ -312,7 +310,8 @@ class GenerativeModel:
         consecutive groups, one group per datapoint. With return_acts the
         result is (log p, acts), the record grad_log_joint reuses.
         """
-        x2, h2, c2, group = self._inputs(x, h, c)
+        self._check_inputs(x, h, c)
+        x2, h2, c2, group = _batch(x, h, c)
         acts = self._forward(h2, c2, group, keep=return_acts)
         top_spec = self.layer_specs[-1]
         if acts.data is None:
@@ -337,13 +336,11 @@ class GenerativeModel:
         these rows (Activations.take selects rows of it); without it the
         forward pass is recomputed.
         """
-        x2, h2, c2, group = self._inputs(x, h, c)
+        self._check_inputs(x, h, c)
+        x2, h2, c2, group = _batch(x, h, c)
         w = _row_weights(weights, h2[0].shape[0])[:, None]
-        if acts is None:
-            acts = self._forward(h2, c2, group, keep=True)
-        elif acts.group != group:
-            raise ShapeError(f"activations hold {acts.group} rows per "
-                             f"datapoint, h holds {group}")
+        acts = (self._forward(h2, c2, group, keep=True) if acts is None
+                else _reused(acts, group))
 
         g = np.zeros(self.n_params)
         top_spec = self.layer_specs[-1]
@@ -451,15 +448,6 @@ class InferenceModel:
             raise ShapeError(
                 f"observation width {x.shape[-1]}, expected {self.obs_width}")
 
-    def _inputs(self, h, x, c):
-        """Validated 2D inputs plus the latent rows per datapoint."""
-        self._check(h, x)
-        (x2, *h2), _ = _rows(x, *h)
-        c2 = None
-        if c is not None:
-            (c2,), _ = _rows(c)
-        return x2, h2, c2, _group(x2.shape[0], h2[0].shape[0])
-
     def _data_pass(self, x2, c2, acts, keep):
         """Encoder net 0 over the datapoints, or the pass acts already
         holds for them."""
@@ -492,7 +480,8 @@ class InferenceModel:
         the same x and c; its encoder-net-0 pass is reused. With return_acts
         the result is (log q, acts), the record grad_log_q reuses.
         """
-        x2, h2, c2, group = self._inputs(h, x, c)
+        self._check(h, x)
+        x2, h2, c2, group = _batch(x, h, c)
         rec = self._forward(x2, c2, h2, group, acts, keep=return_acts)
         total = self._log_mass(rec, h2)
         out = total if x.ndim == 2 else float(total[0])
@@ -504,13 +493,11 @@ class InferenceModel:
         record log_q or sample_q returned for exactly these rows
         (Activations.take selects rows of it); without it the forward pass
         is recomputed."""
-        x2, h2, c2, group = self._inputs(h, x, c)
+        self._check(h, x)
+        x2, h2, c2, group = _batch(x, h, c)
         w = _row_weights(weights, h2[0].shape[0])[:, None]
-        if acts is None:
-            acts = self._forward(x2, c2, h2, group, None, keep=True)
-        elif acts.group != group:
-            raise ShapeError(f"activations hold {acts.group} rows per "
-                             f"datapoint, h holds {group}")
+        acts = (self._forward(x2, c2, h2, group, None, keep=True)
+                if acts is None else _reused(acts, group))
 
         g = np.zeros(self.n_params)
         # The latent rows of a datapoint share its encoder-net-0 pass: sum
@@ -537,10 +524,7 @@ class InferenceModel:
         encoder-net-0 pass is reused. return_log_q adds log q(h | x);
         return_acts returns (h, log q, acts), the record grad_log_q reuses.
         """
-        (x2,), _ = _rows(x)
-        c2 = None
-        if c is not None:
-            (c2,), _ = _rows(c)
+        x2, c2 = _2d(x), None if c is None else _2d(c)
         m, n = x2.shape[0], n_samples
         data = self._data_pass(x2, c2, acts, return_acts)
         spec = self.layer_specs[0]

@@ -299,7 +299,7 @@ def adam_step(params: DenseArray, grads: DenseArray, state: AdamState):
             "must all agree")
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient passed to adam_step")
-    if len(state.scratch) != 2 or state.scratch[0].shape != params.shape:
+    if not state.scratch or state.scratch[0].shape != params.shape:
         state.scratch = (np.empty(params.shape), np.empty(params.shape))
     a, b = state.scratch
     state.step += 1

@@ -54,14 +54,6 @@ class TestAcceptRule:
         p = np.exp(-1.0)
         assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / n)
 
-    def test_log_importance_weight_definition(self):
-        pair, rng = tiny(2)
-        x = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-        h = [np.array([1.0, 1.0, 0.0])]
-        lw = jsa.log_importance_weight(pair, x, h)
-        assert lw == pytest.approx(
-            pair.gen.log_joint(x, h) - pair.inf.log_q(h, x), abs=1e-12)
-
 
 def reference_moves(logw_cur, logw_prop, rng, accept_rule=None):
     """The move loop spelled out one (move k, chain j) at a time."""
@@ -195,7 +187,7 @@ def reference_update(pair, cache, batch, config, rng, *, use_cache,
                                    rng=rng)
             for h0, hf in zip(H0, Hf):
                 h0[fresh] = hf
-    logw_0 = jsa.log_importance_weight(pair, X, H0, C)
+    logw_0 = pair.gen.log_joint(X, H0, C) - pair.inf.log_q(H0, X, C)
     pos, accepted = reference_moves(logw_0, logw_p, rng, accept_rule)
     j = np.arange(m)[:, None]
     rows = np.where(pos < 0, j, m + j * K + pos)
