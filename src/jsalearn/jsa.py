@@ -350,16 +350,24 @@ def _dataset_arrays(dataset):
     return np.asarray(items, dtype=np.float64), contexts
 
 
-def _snapshot(pair, adam):
-    """lam and the Adam moments and step, as a divergence rolls them back."""
-    return pair.copy_lam(), adam.m.copy(), adam.v.copy(), adam.step
+class _LastGood:
+    """lam and the Adam moments and step at the end of the last finished
+    epoch, which a divergence restores. The copies live in buffers made
+    once, so taking one allocates nothing."""
 
+    def __init__(self, pair, adam):
+        self.arrays = [pair.lam.copy(), adam.m.copy(), adam.v.copy()]
+        self.step = adam.step
 
-def _restore(pair, adam, snap):
-    lam, m, v, adam.step = snap
-    pair.set_lam(lam)
-    adam.m[:] = m
-    adam.v[:] = v
+    def save(self, pair, adam):
+        for dst, src in zip(self.arrays, (pair.lam, adam.m, adam.v)):
+            np.copyto(dst, src)
+        self.step = adam.step
+
+    def restore(self, pair, adam):
+        for src, dst in zip(self.arrays, (pair.lam, adam.m, adam.v)):
+            np.copyto(dst, src)
+        adam.step = self.step
 
 
 def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
@@ -390,7 +398,7 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     adam = AdamState.for_size(pair.lam.size, lr=config.lr)
     widths = [spec.width for spec in pair.layer_specs]
     result = TrainResult(cache=LatentCache(n, widths), adam=adam)
-    last_good = _snapshot(pair, adam)
+    last_good = _LastGood(pair, adam)
     t0 = time.perf_counter()
 
     for epoch in range(1, config.total_epochs + 1):
@@ -426,7 +434,7 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
                 if on_update is not None:
                     on_update(epoch, ep_updates, pair, est)
         except NumericError as exc:
-            _restore(pair, adam, last_good)
+            last_good.restore(pair, adam)
             result.elapsed = time.perf_counter() - t0
             raise TrainingDiverged(str(exc), result=result) from exc
 
@@ -444,7 +452,7 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
                 result.best_val_nll = vnll
                 result.best_lam = pair.copy_lam()
                 result.best_epoch = epoch
-        last_good = _snapshot(pair, adam)
+        last_good.save(pair, adam)
         result.epochs_run = epoch
         if on_epoch is not None:
             on_epoch(epoch, pair, result)

@@ -262,12 +262,18 @@ class LayeredNet:
         return pgrads, g
 
 
+# adam_step walks the vectors in blocks of this many entries, so that each
+# block's operands stay in cache across the update's dozen elementwise
+# passes (1<<15 was fastest of 1<<13..1<<16 on 0.3M and 1.2M parameters).
+ADAM_BLOCK = 1 << 15
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for Adam. Minimization convention:
     adam_step moves params against the supplied gradient.
 
-    adam_step works in two params-sized scratch buffers, made on first use
+    adam_step works in two block-sized scratch buffers, made on first use
     and kept here; they carry nothing from one step to the next and are
     not part of the optimizer state a checkpoint saves.
     """
@@ -287,37 +293,43 @@ class AdamState:
 
 
 def adam_step(params: DenseArray, grads: DenseArray, state: AdamState):
-    """One Adam update, in place on params. Returns (params, state).
+    """One Adam update, in place on the flat vector params. Returns
+    (params, state).
 
-    Allocation-free after the first step: every product and quotient is
-    written into the state's two scratch buffers, in the order of the
-    textbook formula, so the results are bit-identical to it.
+    Allocation-free after the first step: block by block, every product
+    and quotient is written into the state's two scratch buffers, in the
+    order of the textbook formula, so the results are bit-identical to it.
     """
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    if (params.ndim != 1 or params.shape != grads.shape
+            or params.shape != state.m.shape):
         raise ShapeError(
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape} "
-            "must all agree")
+            "must all agree and be flat")
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient passed to adam_step")
-    if not state.scratch or state.scratch[0].shape != params.shape:
-        state.scratch = (np.empty(params.shape), np.empty(params.shape))
-    a, b = state.scratch
+    size = min(params.size, ADAM_BLOCK)
+    if not state.scratch or state.scratch[0].size < size:
+        state.scratch = (np.empty(size), np.empty(size))
     state.step += 1
     t = state.step
-    state.m *= state.beta1
-    np.multiply(grads, 1.0 - state.beta1, out=a)
-    state.m += a
-    state.v *= state.beta2
-    np.multiply(grads, 1.0 - state.beta2, out=a)
-    a *= grads
-    state.v += a
-    np.divide(state.m, 1.0 - state.beta1 ** t, out=a)     # m_hat
-    a *= state.lr
-    np.divide(state.v, 1.0 - state.beta2 ** t, out=b)     # v_hat
-    np.sqrt(b, out=b)
-    b += state.eps
-    a /= b
-    params -= a
+    for lo in range(0, params.size, ADAM_BLOCK):
+        blk = slice(lo, lo + ADAM_BLOCK)
+        p, g, m, v = params[blk], grads[blk], state.m[blk], state.v[blk]
+        a, b = (buf[:p.size] for buf in state.scratch)
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=a)
+        m += a
+        v *= state.beta2
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - state.beta1 ** t, out=a)     # m_hat
+        a *= state.lr
+        np.divide(v, 1.0 - state.beta2 ** t, out=b)     # v_hat
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        p -= a
     return params, state
 
 

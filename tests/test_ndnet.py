@@ -246,7 +246,7 @@ def textbook_adam_step(params, grads, state):
 class TestBufferedAdam:
     def test_bit_identical_to_textbook_formula(self):
         rng = np.random.default_rng(40)
-        n = 1000
+        n = 2 * ndnet.ADAM_BLOCK + 1000  # two full blocks and a partial one
         p_a = rng.normal(size=n)
         p_b = p_a.copy()
         s_a = AdamState.for_size(n, lr=3e-4)
@@ -259,6 +259,12 @@ class TestBufferedAdam:
             assert np.array_equal(s_a.m, s_b.m)
             assert np.array_equal(s_a.v, s_b.v)
             assert s_a.step == s_b.step
+
+    def test_rejects_non_flat_params(self):
+        st_ = AdamState.for_size(4, lr=0.1)
+        st_.m, st_.v = np.zeros((2, 2)), np.zeros((2, 2))
+        with pytest.raises(ShapeError):
+            adam_step(np.zeros((2, 2)), np.zeros((2, 2)), st_)
 
     def test_scratch_reused_and_not_in_compare_or_repr(self):
         st_ = AdamState.for_size(3, lr=0.1)
