@@ -466,6 +466,8 @@ class InferenceModel:
         return total
 
     def _forward(self, x2, c2, h2, group, acts, keep):
+        """Every net's pass: encoder net 0 over the datapoints (unless acts
+        holds it), each later encoder net over the latent rows."""
         nets = [None] * self.n_layers
         for k in range(1, self.n_layers):
             nets[k] = _kept(self.encoder_nets[k].forward(h2[k - 1]), keep)
