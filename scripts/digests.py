@@ -1,0 +1,93 @@
+"""Prints the digests that show whether a change moved training, the oracle
+battery or the command line's output.
+
+Run from the repository root:
+
+    python3 scripts/digests.py
+
+It prints, as 16-hex-digit sha256 prefixes:
+
+* for the `linear` and `categorical-20x10` presets, the benchmark training
+  protocol (1 000 surrogate training rows and 100 validation rows, seed 0,
+  m=50, K=2, 3 warm-up plus 2 cache-stage epochs, validation at epoch 5):
+  the final parameter vector lam, the metrics rows, the final chain cache,
+  and the validation NLL in full;
+* the verdicts and details of checks.run_oracle_suite at seeds 0 and 1;
+* metrics.csv of `jsa train --surrogate --arch linear --limit-train 300
+  --limit-valid 100 --limit-test 100 --test-samples 50 --total-epochs 4
+  --stage1-epochs 2 --eval-every 2`.
+
+A change that claims to leave the random stream and the arithmetic alone
+must print the same lines as its parent commit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
+
+from jsalearn import checks, cli, data, jsa, models  # noqa: E402
+
+CLI_ARGS = ["train", "--surrogate", "--arch", "linear", "--limit-train", "300",
+            "--limit-valid", "100", "--limit-test", "100", "--test-samples",
+            "50", "--total-epochs", "4", "--stage1-epochs", "2",
+            "--eval-every", "2"]
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p if isinstance(p, bytes) else p.tobytes())
+    return h.hexdigest()[:16]
+
+
+def training_protocol(preset):
+    train, valid = data.surrogate_images(1000, 100, seed=0)
+    pair = models.build_architecture(preset, seed=0)
+    config = jsa.JsaConfig(particle_number=2, minibatch_size=50,
+                           total_epochs=5, stage1_epochs=3, seed=0)
+    result = jsa.train(pair, train, config, valid=valid, timing=False)
+    valid_nll = [nll for _, split, nll, _, _ in result.metrics
+                 if split == "valid"][-1]
+    return {"lam": digest(pair.lam),
+            "metrics": digest(repr(result.metrics).encode()),
+            "cache": digest(*result.cache.layers, result.cache.seen),
+            "valid_nll": repr(valid_nll)}
+
+
+def oracle(seed):
+    verdicts = [(r.name, r.passed, r.detail)
+                for r in checks.run_oracle_suite(seed=seed)]
+    return digest(repr(verdicts).encode()), all(v[1] for v in verdicts)
+
+
+def cli_metrics():
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(CLI_ARGS + ["--out", out])
+        with open(os.path.join(out, "metrics.csv"), "rb") as f:
+            return code, digest(f.read())
+
+
+def main():
+    for preset in ("linear", "categorical-20x10"):
+        d = training_protocol(preset)
+        print(f"{preset}: lam {d['lam']}  metrics {d['metrics']}  "
+              f"cache {d['cache']}  valid NLL {d['valid_nll']}")
+    for seed in (0, 1):
+        d, ok = oracle(seed)
+        print(f"oracle seed {seed}: verdicts {d}  "
+              f"{'all pass' if ok else 'SOME FAIL'}")
+    code, d = cli_metrics()
+    print(f"jsa {' '.join(CLI_ARGS)}: exit {code}  metrics.csv {d}")
+
+
+if __name__ == "__main__":
+    main()
