@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import CapabilityError, ShapeError
+from .errors import CapabilityError, ConfigError, ShapeError
 from .ndnet import finite_diff_grad
 
 ENUMERATION_CAP = 1 << 16
+
+# Latent rows dataset_nll scores per block by default.
+EVAL_ROWS = 512
 
 
 class EnumerableSupport:
@@ -163,9 +166,28 @@ def log_mean_exp(a, axis=-1):
 
 
 def dataset_nll(pair, items, contexts=None, n_samples=100, rng=None,
-                limit=None, block=100) -> float:
-    """Mean importance-sampled NLL over a dataset, batched for speed."""
+                limit=None, block=None) -> float:
+    """Mean importance-sampled NLL over the first limit datapoints (all by
+    default), scored block datapoints at a time.
+
+    The default block is max(1, EVAL_ROWS // n_samples) datapoints, so each
+    block's decoder arrays stay cache-sized whatever n_samples is; an
+    explicit block overrides it. A block draws its latent rows layer by
+    layer, so for a model with one stochastic layer the random stream does
+    not depend on the block size, while a deeper model such as
+    `two-layers` interleaves its draws by block.
+    """
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
+    if block is not None and block < 1:
+        raise ConfigError(f"block must be at least 1, got {block}")
+    if limit is not None and limit < 1:
+        raise ConfigError(f"limit must be at least 1, got {limit}")
     n = items.shape[0] if limit is None else min(limit, items.shape[0])
+    if n == 0:
+        raise ShapeError("dataset_nll needs at least one datapoint")
+    if block is None:
+        block = max(1, EVAL_ROWS // n_samples)
     total = 0.0
     for start in range(0, n, block):
         stop = min(start + block, n)

@@ -86,16 +86,24 @@ class StochasticLayerSpec:
         return cls("categorical", n_vars * n_categories, n_vars, n_categories)
 
     def log_mass(self, probs, values):
-        """Log-mass of values under factorized probs; sums the last axis."""
+        """Log-mass of values under factorized probs; sums the last axis.
+
+        Bernoulli values are 0/1, so (1 - v) - p * (1 - 2v) is exactly p
+        where v = 1 and 1 - p where v = 0: one log per entry, taken in the
+        one full-size array the expression builds."""
         if self.kind == "bernoulli":
-            return (values * np.log(probs)
-                    + (1.0 - values) * np.log1p(-probs)).sum(axis=-1)
+            sel = probs * (1.0 - 2.0 * values)
+            sel = np.subtract(1.0 - values, sel, out=sel)
+            return np.log(sel, out=sel).sum(axis=-1)
         return (values * np.log(np.maximum(probs, _TINY))).sum(axis=-1)
 
     def mass_dprobs(self, probs, values):
-        """Derivative of log_mass w.r.t. probs, elementwise."""
+        """Derivative of log_mass w.r.t. probs, elementwise. For 0/1 values
+        1 / (p - (1 - v)) is 1/p or -1/(1-p), bit for bit the textbook
+        v/p - (1-v)/(1-p)."""
         if self.kind == "bernoulli":
-            return values / probs - (1.0 - values) / (1.0 - probs)
+            d = probs - (1.0 - values)
+            return np.divide(1.0, d, out=d)
         return values / np.maximum(probs, _TINY)
 
     def sample(self, probs, rng):

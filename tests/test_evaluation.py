@@ -1,6 +1,7 @@
 """Enumeration oracles, exact quantities, estimators, variance reports."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsalearn import evaluation as ev
-from jsalearn import jsa
-from jsalearn.errors import CapabilityError
+from jsalearn import data, jsa
+from jsalearn.errors import CapabilityError, ConfigError, ShapeError
 from jsalearn.models import StochasticLayerSpec, build_architecture
 
 
@@ -154,6 +155,47 @@ class TestEstimators:
         b = ev.dataset_nll(pair, X[:3], n_samples=30,
                            rng=np.random.default_rng(5))
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_dataset_nll_same_at_every_block_size(self):
+        # One stochastic layer: the random stream does not depend on how
+        # the datapoints are blocked.
+        pair = build_architecture("linear", seed=4)
+        _, valid = data.surrogate_images(1, 7, seed=4)
+        X = valid.items
+        values = [ev.dataset_nll(pair, X, n_samples=100, block=block,
+                                 rng=np.random.default_rng(11))
+                  for block in (1, 3, None, len(X))]
+        assert max(ev.EVAL_ROWS // 100, 1) not in (1, 3, len(X))
+        for v in values[1:]:
+            assert v == pytest.approx(values[0], rel=1e-12)
+
+    def test_dataset_nll_memory_stays_cache_sized(self):
+        # Scored as one 10 000-row block, this peaked at 255 MB.
+        pair = build_architecture("linear", seed=0)
+        _, valid = data.surrogate_images(1, 10, seed=0)
+        tracemalloc.start()
+        try:
+            nll = ev.dataset_nll(pair, valid.items, n_samples=1000,
+                                 rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(nll)
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"n_samples": 0}, ConfigError),
+        ({"block": 0}, ConfigError),
+        ({"limit": 0}, ConfigError),
+        ({"items": np.zeros((0, 4))}, ShapeError),
+    ], ids=["n_samples", "block", "limit", "empty"])
+    def test_dataset_nll_rejects_bad_inputs(self, kwargs, error):
+        pair, rng = random_pair(10)
+        args = {"items": (rng.random((3, 4)) < 0.5).astype(float),
+                "n_samples": 5, "rng": np.random.default_rng(0)}
+        args.update(kwargs)
+        with pytest.raises(error):
+            ev.dataset_nll(pair, **args)
 
     @given(seed=st.integers(0, 100))
     @settings(max_examples=15, deadline=None)

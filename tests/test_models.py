@@ -13,7 +13,7 @@ from jsalearn.models import (
     build_architecture,
     build_conditional,
 )
-from jsalearn.ndnet import GroupSoftmax, finite_diff_grad
+from jsalearn.ndnet import PROB_CLAMP, GroupSoftmax, finite_diff_grad
 
 
 def rel_err(a, b):
@@ -139,6 +139,42 @@ class TestLayerSpec:
         vals = np.array([1.0, 0.0, 1.0])
         expect = np.log(0.2) + np.log(0.5) + np.log(0.9)
         assert spec.log_mass(probs, vals) == pytest.approx(expect, abs=1e-12)
+
+    # (probs shape, values shape) in every layout the models use: latent
+    # rows against one row per datapoint both ways, a free prior against
+    # a batch, and single samples.
+    LAYOUTS = [((4, 1, 6), (4, 5, 6)), ((4, 5, 6), (4, 1, 6)),
+               ((6,), (9, 6)), ((6,), (6,))]
+
+    @staticmethod
+    def layout_case(probs_shape, values_shape, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.random(probs_shape)
+        # Both clamps, in more than one column.
+        flat = probs.reshape(-1)
+        flat[::3] = PROB_CLAMP
+        flat[1::4] = 1.0 - PROB_CLAMP
+        values = (rng.random(values_shape) < 0.5).astype(np.float64)
+        return probs, values
+
+    @pytest.mark.parametrize("probs_shape,values_shape", LAYOUTS)
+    def test_bernoulli_log_mass_matches_two_log_form(self, probs_shape,
+                                                     values_shape):
+        spec = StochasticLayerSpec.bernoulli(6)
+        probs, values = self.layout_case(probs_shape, values_shape, 1)
+        got = spec.log_mass(probs, values)
+        expect = (values * np.log(probs)
+                  + (1.0 - values) * np.log1p(-probs)).sum(axis=-1)
+        assert np.shape(got) == np.shape(expect)
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
+
+    @pytest.mark.parametrize("probs_shape,values_shape", LAYOUTS)
+    def test_bernoulli_mass_dprobs_is_textbook_bit_for_bit(self, probs_shape,
+                                                           values_shape):
+        spec = StochasticLayerSpec.bernoulli(6)
+        probs, values = self.layout_case(probs_shape, values_shape, 2)
+        expect = values / probs - (1.0 - values) / (1.0 - probs)
+        np.testing.assert_array_equal(spec.mass_dprobs(probs, values), expect)
 
     def test_categorical_log_mass(self):
         spec = StochasticLayerSpec.categorical(2, 3)
