@@ -399,6 +399,10 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     widths = [spec.width for spec in pair.layer_specs]
     result = TrainResult(cache=LatentCache(n, widths), adam=adam)
     last_good = _LastGood(pair, adam)
+    # The ascent direction negated for Adam, written in place each update;
+    # under freeze_theta its theta block stays zero.
+    step = np.zeros_like(pair.lam)
+    n_theta = pair.gen.n_params
     t0 = time.perf_counter()
 
     for epoch in range(1, config.total_epochs + 1):
@@ -419,12 +423,13 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
                 else:
                     est = rws_minibatch_update(pair, batch,
                                                config.particle_number, rng)
-                g_theta = (np.zeros_like(est.g_theta) if config.freeze_theta
-                           else est.g_theta)
-                adam_step(pair.lam, -np.concatenate([g_theta, est.g_phi]),
-                          adam)
-                if not np.isfinite(pair.lam).all() or \
-                        np.linalg.norm(pair.lam) > config.lambda_bound:
+                if not config.freeze_theta:
+                    np.negative(est.g_theta, out=step[:n_theta])
+                np.negative(est.g_phi, out=step[n_theta:])
+                adam_step(pair.lam, step, adam)
+                # One pass over lam; inf or NaN fails the comparison too.
+                if not math.sqrt(float(pair.lam @ pair.lam)) \
+                        <= config.lambda_bound:
                     raise NumericError(
                         f"parameters diverged at epoch {epoch}")
                 ep_accept += est.accept_count

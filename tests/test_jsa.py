@@ -583,6 +583,37 @@ class TestTrain:
         assert adam.step == 0
         assert not adam.m.any() and not adam.v.any()
 
+    def test_lambda_bound_is_inclusive_to_the_last_bit(self):
+        # A run whose largest norm equals the bound finishes; one ulp less
+        # and it aborts, exactly as np.linalg.norm(lam) > bound would.
+        norms = []
+        pair, ds = self.small_problem()
+        snap = pair.copy_lam()
+        cfg = JsaConfig(minibatch_size=20, total_epochs=2, stage1_epochs=1,
+                        lr=1e-2, seed=4)
+        jsa.train(pair, ds, cfg, timing=False, on_update=lambda e, k, p, est:
+                  norms.append(np.linalg.norm(p.lam)))
+        top = max(norms)
+        cfg.lambda_bound = top
+        pair.set_lam(snap)
+        assert jsa.train(pair, ds, cfg, timing=False).epochs_run == 2
+        cfg.lambda_bound = np.nextafter(top, 0.0)
+        pair.set_lam(snap)
+        with pytest.raises(jsa.TrainingDiverged):
+            jsa.train(pair, ds, cfg, timing=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_aborts(self, bad):
+        pair, ds = self.small_problem()
+        cfg = JsaConfig(minibatch_size=20, total_epochs=2, stage1_epochs=1,
+                        lr=1e-3, seed=4)
+
+        def poison(epoch, k, p, est):
+            p.lam[-1] = bad  # the next update's check must see it
+
+        with pytest.raises(jsa.TrainingDiverged):
+            jsa.train(pair, ds, cfg, timing=False, on_update=poison)
+
     def test_divergence_restores_adam_state_of_last_good_epoch(self):
         pair, ds = self.small_problem()
         cfg = JsaConfig(minibatch_size=20, total_epochs=4, stage1_epochs=4,
