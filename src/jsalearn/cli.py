@@ -75,6 +75,8 @@ class RunConfig:
             raise ConfigError(f"unknown task '{self.task}'")
         if self.algo not in ("jsa", "rws"):
             raise ConfigError(f"unknown algorithm '{self.algo}'")
+        if self.test_samples < 1:
+            raise ConfigError("test_samples must be at least 1")
         pair = build_architecture(self.arch, seed=self.seed)
         kinds = {s.kind for s in pair.layer_specs}
         if self.task == "structured":
@@ -197,6 +199,8 @@ def cmd_eval(args) -> int:
     if not os.path.exists(args.ckpt):
         print(f"checkpoint not found: {args.ckpt}", file=sys.stderr)
         return 2
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError("--limit must be at least 1")
     payload = jsa.load_checkpoint(args.ckpt)
     pair = jsa.restore_pair(payload)
     task = args.task or payload.get("extra", {}).get("task",

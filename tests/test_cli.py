@@ -7,6 +7,7 @@ import pytest
 
 from jsalearn import jsa
 from jsalearn.cli import main
+from jsalearn.models import build_architecture
 
 ARCH = "enc: 784-8s~B8; dec: B8-784s"
 
@@ -90,6 +91,13 @@ class TestTrainCommand:
         assert main(argv) == 2
         assert "no data root" in capsys.readouterr().err
 
+    def test_zero_test_samples_rejected_before_training(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "x"
+        assert main(train_args(out, **{"test-samples": 0})) == 2
+        assert "test_samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_abort_keeps_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "blowup"
         code = main(train_args(out, lr=1e6, **{"total-epochs": 5,
@@ -116,6 +124,15 @@ class TestEvalCommand:
         assert "valid NLL (10 points, 5 samples):" in msg
         nll = float(msg.strip().rsplit(" ", 1)[1])
         assert np.isfinite(nll)
+
+    @pytest.mark.parametrize("flag", ["--n-samples", "--limit"])
+    def test_zero_count_rejected(self, tmp_path, capsys, flag):
+        ckpt = tmp_path / "init.ckpt"
+        jsa.save_checkpoint(ckpt, build_architecture(ARCH))
+        code = main(["eval", "--ckpt", str(ckpt), "--surrogate",
+                     "--limit", "5", "--n-samples", "5", flag, "0"])
+        assert code == 2
+        assert "at least 1" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         code = main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"),
