@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericError, ShapeError, StateError
 
@@ -28,8 +27,15 @@ DEFAULT_LEAKY_SLOPE = 0.01
 
 
 def sigmoid(a: DenseArray) -> DenseArray:
-    """Numerically stable elementwise logistic function (a new array)."""
-    return expit(np.asarray(a, dtype=np.float64))
+    """Elementwise logistic function 1 / (1 + exp(-a)), in one new array.
+
+    a is floored at -709, where exp(-a) is just below overflow, so no input
+    warns: a far below -709 gives about 1e-308 instead of 0. NaN stays NaN."""
+    out = np.maximum(a, -709.0)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def clamped_sigmoid(a: DenseArray) -> DenseArray:

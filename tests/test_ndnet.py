@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from jsalearn import ndnet
 from jsalearn.errors import NumericError, ShapeError, StateError
@@ -20,6 +21,9 @@ from jsalearn.ndnet import (
     adam_step,
     finite_diff_grad,
 )
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def rel_err(a, b):
@@ -55,6 +59,23 @@ class TestElementwise:
         out = ndnet.sigmoid(np.array([-1e4, -50.0, 50.0, 1e4]))
         assert np.isfinite(out).all()
         assert (out >= 0).all() and (out <= 1).all()
+
+    def test_sigmoid_matches_expit_to_a_few_ulp(self):
+        a = np.random.default_rng(0).normal(scale=20.0, size=100_000)
+        a = a[a > -700.0]
+        ref = expit(a)
+        assert np.max(np.abs(ndnet.sigmoid(a) - ref) / ref) <= 4 * EPS
+
+    def test_sigmoid_non_finite_inputs(self):
+        out = ndnet.sigmoid(np.array([np.nan, np.inf, -np.inf]))
+        assert np.isnan(out[0]) and out[1] == 1.0
+        assert 0.0 <= out[2] < 1e-300
+
+    def test_sigmoid_leaves_read_only_input_alone(self):
+        a = np.array([-1.0, 2.0])
+        a.flags.writeable = False
+        ndnet.sigmoid(a)
+        np.testing.assert_array_equal(a, [-1.0, 2.0])
 
     def test_clamp_bounds(self):
         out = ndnet.clamped_sigmoid(np.array([-100.0, 100.0]))
