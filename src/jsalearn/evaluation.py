@@ -5,6 +5,13 @@ The enumeration oracles brute-force the full latent support, so they are the
 independent ground truth against which the samplers and estimators elsewhere
 in the package are verified. They refuse supports larger than 2**16
 configurations.
+
+The importance-sampled NLL scores about EVAL_ROWS latent rows per block
+(max(1, EVAL_ROWS // n_samples) datapoints), so its arrays stay near cache
+size at 100 or 1 000 samples alike. Each block draws its latent layers one
+after another; for a model with one stochastic layer that is the same
+random stream at any block size, but a deeper model such as `two-layers`
+interleaves its draws by block, so its estimate depends on the block size.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ from .ndnet import finite_diff_grad
 
 ENUMERATION_CAP = 1 << 16
 
-# Latent rows dataset_nll scores per block by default.
+# Latent rows dataset_nll scores per block by default. On the `linear`
+# preset, 256 to 2 048 rows per block ran within 10 % of each other; one
+# 10 000-row block (100 datapoints at 100 samples) was 1.6x slower.
 EVAL_ROWS = 512
 
 
@@ -172,10 +181,9 @@ def dataset_nll(pair, items, contexts=None, n_samples=100, rng=None,
 
     The default block is max(1, EVAL_ROWS // n_samples) datapoints, so each
     block's decoder arrays stay cache-sized whatever n_samples is; an
-    explicit block overrides it. A block draws its latent rows layer by
-    layer, so for a model with one stochastic layer the random stream does
-    not depend on the block size, while a deeper model such as
-    `two-layers` interleaves its draws by block.
+    explicit block overrides it. With one stochastic layer the estimate
+    does not depend on the block size; with more, such as `two-layers`,
+    it does, because each block draws its layers in turn.
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")

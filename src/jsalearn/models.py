@@ -93,7 +93,7 @@ class StochasticLayerSpec:
         one full-size array the expression builds."""
         if self.kind == "bernoulli":
             sel = probs * (1.0 - 2.0 * values)
-            sel = np.subtract(1.0 - values, sel, out=sel)
+            np.subtract(1.0 - values, sel, out=sel)
             return np.log(sel, out=sel).sum(axis=-1)
         return (values * np.log(np.maximum(probs, _TINY))).sum(axis=-1)
 
