@@ -603,16 +603,24 @@ class TestTrain:
             jsa.train(pair, ds, cfg, timing=False)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_parameter_aborts(self, bad):
+    def test_non_finite_parameter_aborts_the_same_update(self, bad,
+                                                         monkeypatch):
         pair, ds = self.small_problem()
         cfg = JsaConfig(minibatch_size=20, total_epochs=2, stage1_epochs=1,
                         lr=1e-3, seed=4)
+        real_step = jsa.adam_step
 
-        def poison(epoch, k, p, est):
-            p.lam[-1] = bad  # the next update's check must see it
+        def poisoned_step(params, grads, state):
+            real_step(params, grads, state)
+            params[-1] = bad
 
-        with pytest.raises(jsa.TrainingDiverged):
-            jsa.train(pair, ds, cfg, timing=False, on_update=poison)
+        monkeypatch.setattr(jsa, "adam_step", poisoned_step)
+        updates = []
+        with pytest.raises(jsa.TrainingDiverged,
+                           match="parameters diverged at epoch 1"):
+            jsa.train(pair, ds, cfg, timing=False,
+                      on_update=lambda *args: updates.append(args))
+        assert updates == []
 
     def test_divergence_restores_adam_state_of_last_good_epoch(self):
         pair, ds = self.small_problem()
