@@ -28,7 +28,7 @@ from .ndnet import finite_diff_grad
 ENUMERATION_CAP = 1 << 16
 
 # Latent rows dataset_nll scores per block by default. On the `linear`
-# preset, 256 to 2 048 rows per block ran within 10 % of each other; one
+# preset, 256 to 2 048 rows per block ran within 11 % of each other; one
 # 10 000-row block (100 datapoints at 100 samples) was 1.6x slower.
 EVAL_ROWS = 512
 

@@ -402,7 +402,6 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     # The ascent direction negated for Adam, written in place each update;
     # under freeze_theta its theta block stays zero.
     step = np.zeros_like(pair.lam)
-    n_theta = pair.gen.n_params
     t0 = time.perf_counter()
 
     for epoch in range(1, config.total_epochs + 1):
@@ -424,8 +423,8 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
                     est = rws_minibatch_update(pair, batch,
                                                config.particle_number, rng)
                 if not config.freeze_theta:
-                    np.negative(est.g_theta, out=step[:n_theta])
-                np.negative(est.g_phi, out=step[n_theta:])
+                    np.negative(est.g_theta, out=step[:pair.n_theta])
+                np.negative(est.g_phi, out=step[pair.n_theta:])
                 adam_step(pair.lam, step, adam)
                 # One pass over lam; inf or NaN fails the comparison too.
                 if not math.sqrt(float(pair.lam @ pair.lam)) \
