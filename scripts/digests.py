@@ -11,7 +11,8 @@ It prints, as 16-hex-digit sha256 prefixes:
   protocol (1 000 surrogate training rows and 100 validation rows, seed 0,
   m=50, K=2, 3 warm-up plus 2 cache-stage epochs, validation at epoch 5):
   the final parameter vector lam, the metrics rows, the final chain cache,
-  and the validation NLL in full;
+  and the validation NLL in full, and on a second line the final Adam
+  state (moments m and v, and the step count);
 * the verdicts and details of checks.run_oracle_suite at seeds 0 and 1;
 * metrics.csv of `jsa train --surrogate --arch linear --limit-train 300
   --limit-valid 100 --limit-test 100 --test-samples 50 --total-epochs 4
@@ -19,6 +20,10 @@ It prints, as 16-hex-digit sha256 prefixes:
 
 A change that claims to leave the random stream and the arithmetic alone
 must print the same lines as its parent commit.
+
+The script pins the BLAS libraries to one thread, as perfbench/run.py
+does: with more threads a matmul may sum in another order, and the lam
+and Adam digests then differ from run to run and machine to machine.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ import io
 import os
 import sys
 import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is first imported
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
@@ -59,7 +68,10 @@ def training_protocol(preset):
     return {"lam": digest(pair.lam),
             "metrics": digest(repr(result.metrics).encode()),
             "cache": digest(*result.cache.layers, result.cache.seen),
-            "valid_nll": repr(valid_nll)}
+            "valid_nll": repr(valid_nll),
+            "adam": digest(result.adam.m, result.adam.v,
+                           repr(result.adam.step).encode()),
+            "adam_step": result.adam.step}
 
 
 def oracle(seed):
@@ -81,6 +93,7 @@ def main():
         d = training_protocol(preset)
         print(f"{preset}: lam {d['lam']}  metrics {d['metrics']}  "
               f"cache {d['cache']}  valid NLL {d['valid_nll']}")
+        print(f"{preset}: adam {d['adam']}  step {d['adam_step']}")
     for seed in (0, 1):
         d, ok = oracle(seed)
         print(f"oracle seed {seed}: verdicts {d}  "

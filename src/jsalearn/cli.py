@@ -233,6 +233,9 @@ def cmd_variance(args) -> int:
     rc = RunConfig(task=task, arch=payload["arch"], data_root=args.data_root,
                    surrogate=args.surrogate)
     train, _, _ = resolve_splits(rc)
+    if args.batch > len(train.items):
+        raise ConfigError(f"--batch {args.batch} exceeds the "
+                          f"{len(train.items)} rows of the training split")
     batch = [(i, train.items[i],
               None if train.contexts is None else train.contexts[i])
              for i in range(args.batch)]

@@ -254,8 +254,11 @@ def grad_variance(update_fn, batch, reps, rng) -> VarianceReport:
     sample variances) for the theta and phi gradient blocks.
 
     update_fn must be a pure probe: same parameters, fresh randomness each
-    call. A deterministic update_fn yields -inf entries.
+    call. A deterministic update_fn yields -inf entries. reps must be at
+    least 2, as the sample variance (ddof=1) needs two draws.
     """
+    if reps < 2:
+        raise ConfigError(f"reps must be at least 2, got {reps}")
     gt, gp = [], []
     for _ in range(reps):
         est = update_fn(batch, rng)

@@ -41,7 +41,9 @@ the epoch counter. The cache is stored as {"layers": [...], "seen": ...}.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -207,10 +209,21 @@ def _stack_batch(pair, batch):
     return idxs, X, C
 
 
+def _split_out(pair, out):
+    """The theta and phi blocks of a lam-sized gradient buffer, or
+    (None, None) without one."""
+    if out is None:
+        return None, None
+    if out.shape != pair.lam.shape:
+        raise ShapeError(f"gradient buffer has shape {out.shape}, "
+                         f"need {pair.lam.shape}")
+    return out[:pair.n_theta], out[pair.n_theta:]
+
+
 def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
                          config: JsaConfig, rng, *, use_cache: bool,
                          update_cache: bool = True,
-                         accept_rule=None) -> GradEstimate:
+                         accept_rule=None, out=None) -> GradEstimate:
     """One JSA minibatch update (gradient estimate only; no parameter step).
 
     batch is a list of (dataset_index, x, context-or-None). With use_cache
@@ -218,9 +231,12 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
     written back to) the cache; an index seen for the first time starts from
     a fresh accepted proposal; an index outside the cache's rows raises
     ShapeError. Without use_cache every visit starts fresh and the cache is
-    untouched.
+    untouched. out, a lam-sized buffer, receives the gradient (theta block
+    then phi block), and the estimate's g_theta and g_phi are views of it;
+    without out they are fresh arrays.
     """
     idxs, X, C = _stack_batch(pair, batch)
+    out_theta, out_phi = _split_out(pair, out)
     m = len(idxs)
     K = config.particle_number
 
@@ -265,9 +281,9 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
     Hsel = [hk[rows.ravel()] for hk in H]
     w = np.full(m * K, 1.0 / (m * K))
     g_theta = pair.gen.grad_log_joint(X, Hsel, C, weights=w,
-                                      acts=pa.take(rows))
+                                      acts=pa.take(rows), out=out_theta)
     g_phi = pair.inf.grad_log_q(Hsel, X, C, weights=w,
-                                acts=qa_0.join(qa_p).take(rows))
+                                acts=qa_0.join(qa_p).take(rows), out=out_phi)
 
     if use_cache and update_cache:
         cache.put(idxs, [hk[rows[:, -1]] for hk in H])
@@ -277,14 +293,15 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
 
 
 def rws_minibatch_update(pair: ModelPair, batch, n_particles: int,
-                         rng) -> GradEstimate:
+                         rng, out=None) -> GradEstimate:
     """Baseline update: self-normalized importance weighting over fresh
     proposals from q. Both gradients use the same normalized weights (the
     inference side is the wake-phase update), and every proposal counts as
-    accepted."""
+    accepted. out is used as in jsa_minibatch_update."""
     if n_particles < 1:
         raise ConfigError("n_particles must be at least 1")
     idxs, X, C = _stack_batch(pair, batch)
+    out_theta, out_phi = _split_out(pair, out)
     m = len(idxs)
     P = n_particles
     Hp, logq, qa = pair.inf.sample_q(X, C, rng=rng, n_samples=P,
@@ -293,8 +310,9 @@ def rws_minibatch_update(pair: ModelPair, batch, n_particles: int,
     logw = (logp - logq).reshape(m, P)
     wn = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
     w = wn.reshape(-1) / m
-    g_theta = pair.gen.grad_log_joint(X, Hp, C, weights=w, acts=pa)
-    g_phi = pair.inf.grad_log_q(Hp, X, C, weights=w, acts=qa)
+    g_theta = pair.gen.grad_log_joint(X, Hp, C, weights=w, acts=pa,
+                                      out=out_theta)
+    g_phi = pair.inf.grad_log_q(Hp, X, C, weights=w, acts=qa, out=out_phi)
     nll_proxy = float(np.mean(-evaluation.log_mean_exp(logw)))
     return GradEstimate(g_theta, g_phi, m * P, m * P, nll_proxy)
 
@@ -383,6 +401,13 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     Raises TrainingDiverged (carrying the result so far, with parameters
     and the Adam moments and step restored to the last finished epoch) on
     numeric blow-up.
+
+    Each update writes its gradient into one lam-sized step buffer made
+    once per run, which train negates in place (zeroing the theta block
+    under freeze_theta) and hands to adam_step; no lam-sized array is made
+    per update. on_update(epoch, n, pair, est) is called after the step,
+    and est.g_theta and est.g_phi are views of that negated step buffer,
+    valid only until the next update overwrites it.
     """
     if algorithm not in ("jsa", "rws"):
         raise ConfigError(f"unknown algorithm '{algorithm}'")
@@ -399,9 +424,9 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     widths = [spec.width for spec in pair.layer_specs]
     result = TrainResult(cache=LatentCache(n, widths), adam=adam)
     last_good = _LastGood(pair, adam)
-    # The ascent direction negated for Adam, written in place each update;
-    # under freeze_theta its theta block stays zero.
-    step = np.zeros_like(pair.lam)
+    # Each update writes its gradient (the ascent direction) here, and
+    # train negates it in place for Adam.
+    step = np.empty_like(pair.lam)
     t0 = time.perf_counter()
 
     for epoch in range(1, config.total_epochs + 1):
@@ -418,13 +443,14 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
                 if algorithm == "jsa":
                     est = jsa_minibatch_update(pair, result.cache, batch,
                                                config, rng,
-                                               use_cache=use_cache)
+                                               use_cache=use_cache, out=step)
                 else:
                     est = rws_minibatch_update(pair, batch,
-                                               config.particle_number, rng)
-                if not config.freeze_theta:
-                    np.negative(est.g_theta, out=step[:pair.n_theta])
-                np.negative(est.g_phi, out=step[pair.n_theta:])
+                                               config.particle_number, rng,
+                                               out=step)
+                np.negative(step, out=step)
+                if config.freeze_theta:
+                    step[:pair.n_theta] = 0.0
                 adam_step(pair.lam, step, adam)
                 # One pass over lam; inf or NaN fails the comparison too.
                 if not math.sqrt(float(pair.lam @ pair.lam)) \
@@ -471,7 +497,10 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
 def save_checkpoint(path, pair: ModelPair, *, adam: AdamState | None = None,
                     cache: LatentCache | None = None, rng_state=None,
                     epoch: int = 0, extra: dict | None = None):
-    """Writes the versioned binary checkpoint container."""
+    """Writes the versioned binary checkpoint container atomically: into a
+    temporary file in the same directory, then renamed over path. If the
+    write fails, a checkpoint already at path is left intact and the
+    temporary file is removed."""
     payload = {
         "version": 1,
         "arch": pair.arch,
@@ -485,9 +514,16 @@ def save_checkpoint(path, pair: ModelPair, *, adam: AdamState | None = None,
         "epoch": epoch,
         "extra": extra or {},
     }
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict:

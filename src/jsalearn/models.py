@@ -61,6 +61,7 @@ from .ndnet import (
     clamped_sigmoid_vjp,
     group_softmax,
     group_softmax_vjp,
+    grad_buffer,
 )
 
 # Floor applied inside log() for categorical probabilities, which unlike
@@ -335,14 +336,17 @@ class GenerativeModel:
         out = total if x.ndim == 2 else float(total[0])
         return (out, acts) if return_acts else out
 
-    def grad_log_joint(self, x, h, c=None, weights=None, acts=None):
+    def grad_log_joint(self, x, h, c=None, weights=None, acts=None,
+                       out=None):
         """Gradient of log p(x, h) w.r.t. theta, flat (n_params,).
 
         For batched inputs the result is sum_i weights[i] * grad_i over the
         latent rows (weights default to all ones); x and c may be grouped as
         in log_joint. acts is the record log_joint returned for exactly
         these rows (Activations.take selects rows of it); without it the
-        forward pass is recomputed.
+        forward pass is recomputed. The gradient is written into out (a
+        contiguous float64 (n_params,) buffer, every entry overwritten) and
+        returned; without out it is a fresh array.
         """
         self._check_inputs(x, h, c)
         x2, h2, c2, group = _batch(x, h, c)
@@ -350,7 +354,7 @@ class GenerativeModel:
         acts = (self._forward(h2, c2, group, keep=True) if acts is None
                 else _reused(acts, group))
 
-        g = np.zeros(self.n_params)
+        g = grad_buffer(out, self.n_params)
         top_spec = self.layer_specs[-1]
         if self.prior_net is not None:
             # Every latent row of a datapoint shares its prior pass: sum
@@ -358,8 +362,7 @@ class GenerativeModel:
             gout = (top_spec.mass_dprobs(acts.data[-1][:, None],
                                          _by_datapoint(h2[-1], group))
                     * _by_datapoint(w, group)).sum(axis=1)
-            pg, _ = self.prior_net.backward(acts.data, gout)
-            g[self.prior_slice] = pg
+            self.prior_net.backward(acts.data, gout, g[self.prior_slice])
         else:
             probs = self._prior_probs(None)
             dmass = top_spec.mass_dprobs(probs, h2[-1]) * w
@@ -374,15 +377,14 @@ class GenerativeModel:
         for k in range(self.n_layers - 1, 0, -1):
             a = acts.nets[k]
             gout = self.layer_specs[k - 1].mass_dprobs(a[-1], h2[k - 1])
-            pg, _ = self.decoder_nets[k].backward(a, gout * w)
-            g[self.decoder_slices[k]] = pg
+            self.decoder_nets[k].backward(a, gout * w,
+                                          g[self.decoder_slices[k]])
 
         a = acts.nets[0]
         obs_spec = StochasticLayerSpec.bernoulli(self.obs_width)
         gout = obs_spec.mass_dprobs(_by_datapoint(a[-1], group),
                                     x2[:, None]).reshape(a[-1].shape) * w
-        pg, _ = self.decoder_nets[0].backward(a, gout)
-        g[self.decoder_slices[0]] = pg
+        self.decoder_nets[0].backward(a, gout, g[self.decoder_slices[0]])
         return g
 
     def sample_joint(self, rng, n=1, c=None):
@@ -497,31 +499,32 @@ class InferenceModel:
         out = total if x.ndim == 2 else float(total[0])
         return (out, rec) if return_acts else out
 
-    def grad_log_q(self, h, x, c=None, weights=None, acts=None):
+    def grad_log_q(self, h, x, c=None, weights=None, acts=None, out=None):
         """Gradient of log q(h | x) w.r.t. phi, flat (n_params,); batched
         latent rows are summed with optional per-row weights. acts is the
         record log_q or sample_q returned for exactly these rows
         (Activations.take selects rows of it); without it the forward pass
-        is recomputed."""
+        is recomputed. The gradient is written into out (a contiguous
+        float64 (n_params,) buffer, every entry overwritten) and returned;
+        without out it is a fresh array."""
         self._check(h, x)
         x2, h2, c2, group = _batch(x, h, c)
         w = _row_weights(weights, h2[0].shape[0])[:, None]
         acts = (self._forward(x2, c2, h2, group, None, keep=True)
                 if acts is None else _reused(acts, group))
 
-        g = np.zeros(self.n_params)
+        g = grad_buffer(out, self.n_params)
         # The latent rows of a datapoint share its encoder-net-0 pass: sum
         # their output gradients and back-propagate one row per datapoint.
         gout = (self.layer_specs[0].mass_dprobs(acts.data[-1][:, None],
                                                 _by_datapoint(h2[0], group))
                 * _by_datapoint(w, group)).sum(axis=1)
-        pg, _ = self.encoder_nets[0].backward(acts.data, gout)
-        g[self.encoder_slices[0]] = pg
+        self.encoder_nets[0].backward(acts.data, gout,
+                                      g[self.encoder_slices[0]])
         for k in range(1, self.n_layers):
             a = acts.nets[k]
             gout = self.layer_specs[k].mass_dprobs(a[-1], h2[k]) * w
-            pg, _ = self.encoder_nets[k].backward(a, gout)
-            g[self.encoder_slices[k]] = pg
+            self.encoder_nets[k].backward(a, gout, g[self.encoder_slices[k]])
         return g
 
     def sample_q(self, x, c=None, rng=None, return_log_q=False, *,

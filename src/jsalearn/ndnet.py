@@ -6,6 +6,13 @@ holds reshaped views into it, so in-place updates on the flat vector are
 immediately visible to every layer (and vice versa). Nets can also be bound
 into a larger caller-owned buffer, which is how a model pair keeps all its
 parameters in a single optimizer-ready vector.
+
+Gradients follow the same layout. LayeredNet.backward writes a net's flat
+parameter gradient into a caller-owned slice when given one (out=), so a
+model pair's two gradients can land straight in the training step's
+buffer. A net's input is data, a context or a sampled discrete latent,
+never something a gradient flows into, so backward never forms the
+gradient with respect to it.
 """
 
 from __future__ import annotations
@@ -101,12 +108,16 @@ class Linear:
     def forward(self, x: DenseArray) -> DenseArray:
         return x @ self.W + self.b
 
-    def backward(self, x_in, x_out, grad_out, param_grad) -> DenseArray:
+    def backward(self, x_in, x_out, grad_out, param_grad,
+                 input_grad: bool = True) -> DenseArray | None:
+        """Writes the W and b gradients into param_grad (a contiguous view)
+        and returns the gradient w.r.t. x_in, or None without input_grad
+        (a net's first layer, whose input nothing differentiates)."""
         x2, g2 = _as2d(x_in), _as2d(grad_out)
         w = self.in_dim * self.out_dim
         np.matmul(x2.T, g2, out=param_grad[:w].reshape(self.in_dim, self.out_dim))
         param_grad[w:] = g2.sum(axis=0)
-        return grad_out @ self.W.T
+        return grad_out @ self.W.T if input_grad else None
 
 
 class LeakyReLU:
@@ -197,7 +208,7 @@ class LayeredNet:
 
     forward returns the full activation list [input, out_1, ..., out_L];
     backward consumes that list plus a gradient w.r.t. the final output and
-    returns (flat_param_grads, grad_wrt_input). For batched input (rows are
+    returns the flat parameter gradient. For batched input (rows are
     samples) the parameter gradient is the sum over rows, so callers scale
     grad_output to get means or weighted sums.
     """
@@ -251,7 +262,15 @@ class LayeredNet:
             acts.append(lay.forward(acts[-1]))
         return acts
 
-    def backward(self, activations: list, grad_output: DenseArray):
+    def backward(self, activations: list, grad_output: DenseArray,
+                 out: DenseArray | None = None) -> DenseArray:
+        """Flat parameter gradient, written into out and returned.
+
+        out is a caller-owned (n_params,) contiguous float64 buffer (such as
+        a slice of a model pair's step vector), every entry of which is
+        overwritten; without it a fresh array is returned. The gradient
+        w.r.t. the net's input is never computed.
+        """
         if len(activations) != len(self.layers) + 1:
             raise StateError(
                 f"activation list has {len(activations)} entries, "
@@ -260,12 +279,28 @@ class LayeredNet:
             raise ShapeError(
                 f"grad_output shape {grad_output.shape} does not match "
                 f"output shape {activations[-1].shape}")
-        pgrads = np.zeros(self.n_params)
+        out = grad_buffer(out, self.n_params)
         g = grad_output
-        for i in range(len(self.layers) - 1, -1, -1):
+        for i in range(len(self.layers) - 1, 0, -1):
             g = self.layers[i].backward(
-                activations[i], activations[i + 1], g, pgrads[self.param_slices[i]])
-        return pgrads, g
+                activations[i], activations[i + 1], g, out[self.param_slices[i]])
+        self.layers[0].backward(activations[0], activations[1], g,
+                                out[self.param_slices[0]], input_grad=False)
+        return out
+
+
+def grad_buffer(out: DenseArray | None, n: int) -> DenseArray:
+    """out checked as a gradient destination of n entries, or a fresh
+    uninitialized one when out is None. Every writer overwrites all n
+    entries, so no zero fill is needed."""
+    if out is None:
+        return np.empty(n)
+    if (out.shape != (n,) or out.dtype != np.float64
+            or not out.flags.c_contiguous):
+        raise ShapeError(
+            f"gradient buffer has shape {out.shape} and dtype {out.dtype}, "
+            f"need contiguous float64 ({n},)")
+    return out
 
 
 # adam_step walks the vectors in blocks of this many entries, so that each
@@ -279,9 +314,9 @@ class AdamState:
     """First/second moment accumulators for Adam. Minimization convention:
     adam_step moves params against the supplied gradient.
 
-    adam_step works in two block-sized scratch buffers, made on first use
-    and kept here; they carry nothing from one step to the next and are
-    not part of the optimizer state a checkpoint saves.
+    adam_step works in block-sized scratch buffers (two float, one bool),
+    made on first use and kept here; they carry nothing from one step to
+    the next and are not part of the optimizer state a checkpoint saves.
     """
 
     m: DenseArray
@@ -303,25 +338,32 @@ def adam_step(params: DenseArray, grads: DenseArray, state: AdamState):
     (params, state).
 
     Allocation-free after the first step: block by block, every product
-    and quotient is written into the state's two scratch buffers, in the
+    and quotient is written into the state's scratch buffers, in the
     order of the textbook formula, so the results are bit-identical to it.
+    A non-finite gradient entry raises NumericError before anything is
+    written, so params, m, v and step are then unchanged.
     """
     if (params.ndim != 1 or params.shape != grads.shape
             or params.shape != state.m.shape):
         raise ShapeError(
             f"params {params.shape}, grads {grads.shape}, state {state.m.shape} "
             "must all agree and be flat")
-    if not np.isfinite(grads).all():
-        raise NumericError("non-finite gradient passed to adam_step")
     size = min(params.size, ADAM_BLOCK)
     if not state.scratch or state.scratch[0].size < size:
-        state.scratch = (np.empty(size), np.empty(size))
+        state.scratch = (np.empty(size), np.empty(size),
+                         np.empty(size, dtype=bool))
+    finite = state.scratch[2]
+    for lo in range(0, grads.size, ADAM_BLOCK):
+        g = grads[lo:lo + ADAM_BLOCK]
+        ok = finite[:g.size]
+        if not np.isfinite(g, out=ok).all():
+            raise NumericError("non-finite gradient passed to adam_step")
     state.step += 1
     t = state.step
     for lo in range(0, params.size, ADAM_BLOCK):
         blk = slice(lo, lo + ADAM_BLOCK)
         p, g, m, v = params[blk], grads[blk], state.m[blk], state.v[blk]
-        a, b = (buf[:p.size] for buf in state.scratch)
+        a, b = state.scratch[0][:p.size], state.scratch[1][:p.size]
         m *= state.beta1
         np.multiply(g, 1.0 - state.beta1, out=a)
         m += a

@@ -162,6 +162,31 @@ class TestVarianceCommand:
         assert "lower phi-gradient variance:" in msg
         assert msg.strip().endswith(("jsa", "rws"))
 
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("variance") / "run"
+        assert main(train_args(out)) == 0
+        return str(out / "last.ckpt")
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_too_few_reps_rejected(self, ckpt, capsys, reps):
+        capsys.readouterr()
+        code = main(["variance", "--ckpt", ckpt, "--surrogate",
+                     "--reps", str(reps), "--batch", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "reps must be at least 2" in captured.err
+        assert "log-variance" not in captured.out
+
+    def test_batch_larger_than_training_split_rejected(self, ckpt, capsys):
+        capsys.readouterr()
+        code = main(["variance", "--ckpt", ckpt, "--surrogate",
+                     "--reps", "5", "--batch", "6000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--batch 6000 exceeds" in captured.err
+        assert "log-variance" not in captured.out
+
 
 class TestOracleSuiteCommand:
     def test_quick_battery_passes(self, capsys):

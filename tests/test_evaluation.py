@@ -256,6 +256,18 @@ class TestGradVariance:
             pytest.approx(np.log((sig_p ** 2).sum()), abs=0.1)
         assert rep.reps == 4000
 
+    @pytest.mark.parametrize("reps", [-1, 0, 1])
+    def test_fewer_than_two_reps_rejected(self, reps):
+        calls = []
+
+        def update(batch, rng):
+            calls.append(1)
+            return self._FakeEst(np.ones(3), np.zeros(2))
+
+        with pytest.raises(ConfigError, match="at least 2"):
+            ev.grad_variance(update, [], reps, np.random.default_rng(0))
+        assert calls == []
+
     def test_deterministic_fn_gives_minus_inf(self):
         def update(batch, rng):
             return self._FakeEst(np.ones(3), np.zeros(2))

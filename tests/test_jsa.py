@@ -1,6 +1,9 @@
 """Sampler steps, minibatch updates, the training loop, checkpoints."""
 
 import math
+import os
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,6 +453,31 @@ class TestMinibatchUpdate:
         z = np.abs(grads.mean(axis=0) - exact) / np.maximum(se, 1e-12)
         assert z.max() < 4.5
 
+    @pytest.mark.parametrize("algorithm", ["jsa", "rws"])
+    def test_out_receives_both_gradients(self, algorithm):
+        pair, rng = tiny(23)
+        b = self.batch(pair, rng)
+
+        def update(out, seed):
+            r = np.random.default_rng(seed)
+            if algorithm == "rws":
+                return jsa.rws_minibatch_update(pair, b, 3, r, out=out)
+            return jsa.jsa_minibatch_update(pair, LatentCache(), b,
+                                            JsaConfig(), r, use_cache=False,
+                                            out=out)
+
+        out = np.full(pair.lam.size, np.nan)
+        est = update(out, 5)
+        assert np.isfinite(out).all()
+        assert np.shares_memory(est.g_theta, out[:pair.n_theta])
+        assert np.shares_memory(est.g_phi, out[pair.n_theta:])
+        fresh = update(None, 5)
+        assert np.array_equal(out, np.concatenate([fresh.g_theta,
+                                                   fresh.g_phi]))
+        assert not np.shares_memory(fresh.g_theta, update(None, 5).g_theta)
+        with pytest.raises(ShapeError):
+            update(np.empty(pair.lam.size - 1), 5)
+
     def test_conditional_batch_requires_contexts(self):
         from jsalearn.models import build_conditional
         pair = build_conditional(4, 3, 3, [4])
@@ -679,6 +707,23 @@ class TestTrain:
         with pytest.raises(ConfigError):
             jsa.train(pair, ds, JsaConfig(), algorithm="vae")
 
+    def test_memory_peak_stays_near_the_run_long_buffers(self):
+        """train keeps lam-sized buffers for the run (Adam's m and v, the
+        step, the last-good copies) and makes none per update, so a short
+        run on the 1.17M-parameter preset peaks below 7.5 lams."""
+        from jsalearn.data import surrogate_images
+        train, _ = surrogate_images(200, 10, seed=0)
+        pair = build_architecture("categorical-20x10", seed=0)
+        cfg = JsaConfig(particle_number=2, minibatch_size=50, total_epochs=2,
+                        stage1_epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            jsa.train(pair, train, cfg, timing=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * pair.lam.nbytes
+
     def test_timing_off_writes_zero_seconds(self):
         pair, ds = self.small_problem()
         cfg = JsaConfig(minibatch_size=20, total_epochs=2, stage1_epochs=2,
@@ -716,6 +761,26 @@ class TestCheckpoint:
         h = [np.array([0.0, 1.0, 1.0])]
         assert back.gen.log_joint(x, h) == \
             pytest.approx(pair.gen.log_joint(x, h), abs=1e-12)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                     monkeypatch):
+        pair, _ = tiny(18)
+        path = tmp_path / "last.ckpt"
+        jsa.save_checkpoint(path, pair, epoch=1)
+        before = path.read_bytes()
+
+        def broken_dump(obj, f, protocol=None):
+            f.write(b"partial payload")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pickle, "dump", broken_dump)
+        pair.lam[:] += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            jsa.save_checkpoint(path, pair, epoch=2)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["last.ckpt"]
+        monkeypatch.undo()
+        assert jsa.load_checkpoint(path)["epoch"] == 1
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

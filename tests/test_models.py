@@ -376,6 +376,69 @@ class TestGradients:
         assert ev.fisher_identity_check(pair.gen, x) < 1e-6
 
 
+class TestGradientBuffer:
+    """The gradient methods write every entry of a caller's out buffer
+    (which starts as NaN here, standing in for np.empty's garbage) with
+    the values of a fresh call."""
+
+    @staticmethod
+    def nets(pair):
+        gen, inf = pair.gen, pair.inf
+        return ([gen.prior_net] if gen.prior_net is not None else []) \
+            + gen.decoder_nets + inf.encoder_nets
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_architecture("linear", seed=1),
+        lambda: build_architecture("two-layers", seed=1),
+        lambda: build_architecture("categorical-20x10", seed=1),
+        lambda: build_architecture("enc: 5-4l-6~C2x3; dec: C2x3-4l-5s",
+                                   seed=1),
+        lambda: build_conditional(4, 3, 3, [4], seed=1),
+    ], ids=["linear", "two-layers", "categorical-20x10", "free-prior",
+            "conditional"])
+    def test_out_is_filled_and_equals_fresh_result(self, make):
+        pair = make()
+        rng = np.random.default_rng(3)
+        m, K = 3, 2
+        X = (rng.random((m, pair.gen.obs_width)) < 0.5).astype(float)
+        C = None
+        if pair.context_width:
+            C = (rng.random((m, pair.context_width)) < 0.5).astype(float)
+        H, _, qa = pair.inf.sample_q(X, C, rng=rng, n_samples=K,
+                                     return_acts=True)
+        _, pa = pair.gen.log_joint(X, H, C, return_acts=True)
+        w = rng.random(m * K)
+        calls = [
+            (pair.gen.n_params,
+             lambda out: pair.gen.grad_log_joint(X, H, C, weights=w, acts=pa,
+                                                 out=out)),
+            (pair.inf.n_params,
+             lambda out: pair.inf.grad_log_q(H, X, C, weights=w, acts=qa,
+                                             out=out)),
+        ]
+        for net in self.nets(pair):
+            acts = net.forward(rng.random((m, net.in_dim)))
+            G = rng.normal(size=acts[-1].shape)
+            calls.append((net.n_params,
+                          lambda out, net=net, acts=acts, G=G:
+                          net.backward(acts, G, out=out)))
+        for n, call in calls:
+            out = np.full(n, np.nan)
+            assert call(out) is out
+            assert np.isfinite(out).all()
+            fresh = call(None)
+            assert np.array_equal(out, fresh)
+            assert call(None) is not fresh
+
+    def test_out_of_wrong_size_rejected(self):
+        pair = build_architecture("enc: 5-3s~B3; dec: B3-5s")
+        x, h = np.ones(5), [np.ones(3)]
+        with pytest.raises(ShapeError):
+            pair.gen.grad_log_joint(x, h, out=np.empty(pair.n_theta + 1))
+        with pytest.raises(ShapeError):
+            pair.inf.grad_log_q(h, x, out=np.empty(pair.lam.size))
+
+
 class TestModelPair:
     def test_theta_phi_alias_lam(self):
         pair = build_architecture("enc: 5-3s~B3; dec: B3-5s", seed=0)

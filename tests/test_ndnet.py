@@ -2,6 +2,8 @@
 plumbing, Adam, and agreement between analytic backward passes and the
 central finite-difference oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,17 +170,23 @@ class TestBackward:
                 return float(net.forward(x)[-1] @ w)
 
             acts = net.forward(x)
-            analytic, _ = net.backward(acts, w.copy())
+            analytic = net.backward(acts, w.copy())
             numeric = finite_diff_grad(scalar, net.params)
             assert rel_err(analytic, numeric) < 1e-6
 
     def test_input_gradient_matches_finite_differences(self):
+        """The input gradients the layers pass down between them, chained
+        by hand through every layer (Linear ones included), agree with
+        finite differences of the net's output w.r.t. its input."""
         rng = np.random.default_rng(42)
         net = random_net(rng, in_dim=3)
         x = rng.normal(size=3)
         w = rng.normal(size=net.out_dim)
         acts = net.forward(x)
-        _, gx = net.backward(acts, w.copy())
+        gx = w.copy()
+        for i in range(len(net.layers) - 1, -1, -1):
+            gx = net.layers[i].backward(acts[i], acts[i + 1], gx,
+                                        np.empty(net.layers[i].n_params))
 
         def scalar_x(xv):
             return float(net.forward(xv)[-1] @ w)
@@ -186,16 +194,54 @@ class TestBackward:
         numeric = finite_diff_grad(scalar_x, x.copy())
         assert rel_err(gx, numeric) < 1e-6
 
+    def test_first_layer_input_gradient_not_formed(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        net = random_net(rng, in_dim=3)
+        first = net.layers[0]
+        seen = []
+        real = first.backward
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(out)
+            return out
+        monkeypatch.setattr(first, "backward", spy)
+        net.backward(net.forward(rng.normal(size=3)),
+                     rng.normal(size=net.out_dim))
+        assert seen == [None]
+
+    def test_backward_writes_into_out(self):
+        rng = np.random.default_rng(44)
+        net = random_net(rng, in_dim=4)
+        acts = net.forward(rng.normal(size=(3, 4)))
+        G = rng.normal(size=(3, net.out_dim))
+        out = np.full(net.n_params, np.nan)
+        assert net.backward(acts, G, out=out) is out
+        assert np.isfinite(out).all()
+        fresh = net.backward(acts, G)
+        assert np.array_equal(out, fresh)
+        assert net.backward(acts, G) is not fresh
+
+    @pytest.mark.parametrize("bad", [
+        lambda n: np.zeros(n + 1),
+        lambda n: np.zeros(n, dtype=np.float32),
+        lambda n: np.zeros(2 * n)[::2],
+    ])
+    def test_backward_rejects_unusable_out(self, bad):
+        net = LayeredNet([Linear(2, 3), Tanh()], rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            net.backward(net.forward(np.zeros(2)), np.ones(3),
+                         out=bad(net.n_params))
+
     def test_batched_param_grad_is_sum_over_rows(self):
         rng = np.random.default_rng(5)
         net = random_net(rng, in_dim=4)
         X = rng.normal(size=(5, 4))
         G = rng.normal(size=(5, net.out_dim))
-        batched, _ = net.backward(net.forward(X), G)
+        batched = net.backward(net.forward(X), G)
         summed = np.zeros(net.n_params)
         for i in range(5):
-            pg, _ = net.backward(net.forward(X[i]), G[i])
-            summed += pg
+            summed += net.backward(net.forward(X[i]), G[i])
         np.testing.assert_allclose(batched, summed, atol=1e-12)
 
     def test_activation_list_length_checked(self):
@@ -281,6 +327,40 @@ class TestBufferedAdam:
             assert np.array_equal(s_a.m, s_b.m)
             assert np.array_equal(s_a.v, s_b.v)
             assert s_a.step == s_b.step
+
+    def test_second_step_allocates_no_parameter_sized_array(self):
+        """The finiteness check and the update work in block-sized
+        scratch: a second step on 1<<20 parameters (8 MiB each for params,
+        grads, m and v; a 1 MiB bool mask for a whole-vector isfinite)
+        peaks far below one block's worth of doubles."""
+        n = 1 << 20
+        params = np.zeros(n)
+        g = np.full(n, 0.25)
+        st_ = AdamState.for_size(n, lr=1e-3)
+        adam_step(params, g, st_)
+        tracemalloc.start()
+        try:
+            adam_step(params, g, st_)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_nan_in_last_partial_block_rejected_without_state_change(self):
+        rng = np.random.default_rng(41)
+        n = 2 * ndnet.ADAM_BLOCK + 100
+        params = rng.normal(size=n)
+        st_ = AdamState.for_size(n, lr=1e-3)
+        adam_step(params, rng.normal(size=n), st_)
+        before = (params.copy(), st_.m.copy(), st_.v.copy(), st_.step)
+        g = rng.normal(size=n)
+        g[-1] = np.nan
+        with pytest.raises(NumericError):
+            adam_step(params, g, st_)
+        assert np.array_equal(params, before[0])
+        assert np.array_equal(st_.m, before[1])
+        assert np.array_equal(st_.v, before[2])
+        assert st_.step == before[3]
 
     def test_rejects_non_flat_params(self):
         st_ = AdamState.for_size(4, lr=0.1)
