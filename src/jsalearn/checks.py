@@ -97,6 +97,15 @@ class CheckResult:
     detail: str
 
 
+def _worst(worst, *values):
+    """max(worst, *values), except that a NaN wins: max() would drop it
+    and report a broken quantity as perfect agreement."""
+    for v in values:
+        if v > worst or v != v:
+            worst = v
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Individual checks
 
@@ -116,12 +125,12 @@ def check_gradient_agreement(seed=0, instances_per_family=20,
             analytic = pair.gen.grad_log_joint(x, h, c)
             numeric = finite_diff_grad(
                 lambda _: pair.gen.log_joint(x, h, c), pair.theta)
-            worst = max(worst, ev.rel_deviation(analytic, numeric))
+            worst = _worst(worst, ev.rel_deviation(analytic, numeric))
 
             analytic = pair.inf.grad_log_q(h, x, c)
             numeric = finite_diff_grad(
                 lambda _: pair.inf.log_q(h, x, c), pair.phi)
-            worst = max(worst, ev.rel_deviation(analytic, numeric))
+            worst = _worst(worst, ev.rel_deviation(analytic, numeric))
     return CheckResult("gradient-agreement", worst <= tol,
                        f"max rel deviation {worst:.3e} (tol {tol:.0e})")
 
@@ -142,13 +151,13 @@ def check_preset_gradient_spot(seed=0, n_coords=40, tol=1e-4) -> CheckResult:
         analytic = pair.gen.grad_log_joint(x, h, c)[coords]
         numeric = subset_finite_diff(
             lambda: pair.gen.log_joint(x, h, c), pair.theta, coords)
-        worst = max(worst, ev.rel_deviation(analytic, numeric))
+        worst = _worst(worst, ev.rel_deviation(analytic, numeric))
 
         coords = rng.choice(pair.n_phi, size=n_coords, replace=False)
         analytic = pair.inf.grad_log_q(h, x, c)[coords]
         numeric = subset_finite_diff(
             lambda: pair.inf.log_q(h, x, c), pair.phi, coords)
-        worst = max(worst, ev.rel_deviation(analytic, numeric))
+        worst = _worst(worst, ev.rel_deviation(analytic, numeric))
     return CheckResult("preset-gradient-spot", worst <= tol,
                        f"max rel deviation {worst:.3e} over coordinate subsets")
 
@@ -164,7 +173,7 @@ def check_normalization(seed=0, n_models=10, tol_q=1e-10,
         x, c = random_obs(pair, rng)
         support = ev.enumerate_support(pair.gen)
         q = ev.exact_inference_table(pair.inf, x, c, support)
-        worst_q = max(worst_q, abs(float(q.sum()) - 1.0))
+        worst_q = _worst(worst_q, abs(float(q.sum()) - 1.0))
 
         obs_w = pair.gen.obs_width
         all_x = np.array(np.meshgrid(*[[0.0, 1.0]] * obs_w)
@@ -172,7 +181,7 @@ def check_normalization(seed=0, n_models=10, tol_q=1e-10,
         total = 0.0
         for xv in all_x:
             total += np.exp(ev.exact_log_likelihood(pair.gen, xv, c, support))
-        worst_j = max(worst_j, abs(total - 1.0))
+        worst_j = _worst(worst_j, abs(total - 1.0))
     ok = worst_q <= tol_q and worst_j <= tol_joint
     return CheckResult("normalization", ok,
                        f"max |sum q - 1| {worst_q:.2e}, "
@@ -188,7 +197,7 @@ def check_fisher_identity(seed=0, n_models=20, tol=1e-4) -> CheckResult:
         family = TINY_FAMILIES[int(rng.integers(len(TINY_FAMILIES)))]
         pair = tiny_pair(family, rng)
         x, c = random_obs(pair, rng)
-        worst = max(worst, ev.fisher_identity_check(pair.gen, x, c))
+        worst = _worst(worst, ev.fisher_identity_check(pair.gen, x, c))
     return CheckResult("fisher-identity", worst <= tol,
                        f"max rel deviation {worst:.3e} over {n_models} models")
 
@@ -213,7 +222,7 @@ def check_score_identity(seed=0, n_models=3, n_groups=100,
         means = np.stack(means)
         se = means.std(axis=0, ddof=1) / np.sqrt(n_groups)
         z = np.abs(means.mean(axis=0)) / np.maximum(se, 1e-12)
-        worst_z = max(worst_z, float(z.max()))
+        worst_z = _worst(worst_z, float(z.max()))
     return CheckResult("score-identity", worst_z <= z_tol,
                        f"max |z| {worst_z:.2f} (tol {z_tol})")
 
@@ -231,8 +240,8 @@ def check_detailed_balance(seed=0, n_models=5, tol=1e-10) -> CheckResult:
         post = ev.exact_posterior(pair.gen, x, c, support)
         K = ev.mis_transition_matrix(pair, x, c, support)
         flow = post[:, None] * K
-        worst = max(worst, float(np.abs(flow - flow.T).max()),
-                    float(np.abs(K.sum(axis=1) - 1.0).max()))
+        worst = _worst(worst, float(np.abs(flow - flow.T).max()),
+                       float(np.abs(K.sum(axis=1) - 1.0).max()))
     return CheckResult("mis-detailed-balance", worst <= tol,
                        f"max asymmetry {worst:.2e} (tol {tol:.0e})")
 
@@ -265,7 +274,7 @@ def check_mis_invariance(seed=0, n_models=5, n_steps=1_000_000,
         counts = jsa.run_mis_chain(pair, x, n_steps, rng, c=c,
                                    support=support, accept_rule=accept_rule)
         tv = 0.5 * float(np.abs(counts / counts.sum() - post).sum())
-        worst = max(worst, tv)
+        worst = _worst(worst, tv)
     return CheckResult(name, worst <= tol,
                        f"max TV {worst:.4f} over {n_models} chains "
                        f"of {n_steps} steps (tol {tol})")
@@ -323,7 +332,7 @@ def check_snis_consistency(seed=0, n_models=5, n_particles=20_000,
         h, logw = ev.importance_sample(pair, X, C, rng)
         wn = np.exp(logw - logsumexp(logw))
         snis_mean = wn @ h[0]
-        worst = max(worst, float(np.abs(snis_mean - exact_mean).max()))
+        worst = _worst(worst, float(np.abs(snis_mean - exact_mean).max()))
     return CheckResult("snis-consistency", worst <= tol,
                        f"max deviation {worst:.4f} (tol {tol})")
 
@@ -340,7 +349,7 @@ def check_estimator_consistency(seed=0, n_models=10, n_samples=10_000,
         exact = -ev.exact_log_likelihood(pair.gen, x, c)
         est = ev.dataset_nll(pair, x[None], None if c is None else c[None],
                              n_samples=n_samples, rng=rng)
-        worst = max(worst, abs(est - exact))
+        worst = _worst(worst, abs(est - exact))
 
     # q == posterior by construction: zero decoder/encoder weights make x
     # and h independent, so the posterior is the prior; pointing the

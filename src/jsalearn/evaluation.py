@@ -92,13 +92,19 @@ def enumerate_support(model_or_specs) -> EnumerableSupport:
     return EnumerableSupport(specs)
 
 
+def one_datapoint(x, c=None):
+    """A single observation x (and its context c) as one datapoint's rows,
+    so that the whole support scores as that datapoint's latent rows and
+    encoder net 0 (and a prior net) run once."""
+    if x.ndim != 1:
+        raise ShapeError("enumeration oracles take a single observation")
+    return x[None], None if c is None else c[None]
+
+
 def _support_log_joint(gen, x, c, support):
     """log p(x, h) for every h in the support; x is a single observation."""
     gen = getattr(gen, "gen", gen)  # accept a ModelPair too
-    if x.ndim != 1:
-        raise ShapeError("enumeration oracles take a single observation")
-    X = np.broadcast_to(x, (support.size, x.size))
-    C = None if c is None else np.broadcast_to(c, (support.size, c.size))
+    X, C = one_datapoint(x, c)
     return gen.log_joint(X, support.layers, C)
 
 
@@ -118,8 +124,7 @@ def exact_posterior(gen, x, c=None, support=None) -> np.ndarray:
 def exact_inference_table(inf, x, c=None, support=None) -> np.ndarray:
     """q(h | x) for every h in the support (in support order)."""
     support = support or enumerate_support(inf)
-    X = np.broadcast_to(x, (support.size, x.size))
-    C = None if c is None else np.broadcast_to(c, (support.size, c.size))
+    X, C = one_datapoint(x, c)
     return np.exp(inf.log_q(support.layers, X, C))
 
 
@@ -127,8 +132,7 @@ def inclusive_kl_exact(pair, x, c=None, support=None) -> float:
     """KL[p(h|x) || q(h|x)] computed exactly over the support."""
     support = support or enumerate_support(pair.gen)
     post = exact_posterior(pair.gen, x, c, support)
-    X = np.broadcast_to(x, (support.size, x.size))
-    C = None if c is None else np.broadcast_to(c, (support.size, c.size))
+    X, C = one_datapoint(x, c)
     logq = pair.inf.log_q(support.layers, X, C)
     nz = post > 0
     logpost = np.full(support.size, -np.inf)
@@ -148,8 +152,7 @@ def fisher_identity_check(gen, x, c=None, eps=1e-5, support=None) -> float:
     max relative deviation. Both sides should be grad_theta log p(x)."""
     support = support or enumerate_support(gen)
     post = exact_posterior(gen, x, c, support)
-    X = np.broadcast_to(x, (support.size, x.size))
-    C = None if c is None else np.broadcast_to(c, (support.size, c.size))
+    X, C = one_datapoint(x, c)
     expected = gen.grad_log_joint(X, support.layers, C, weights=post)
 
     def marginal(params):
@@ -227,8 +230,7 @@ def mis_transition_matrix(pair, x, c=None, support=None) -> np.ndarray:
     """
     support = support or enumerate_support(pair.gen)
     lj = _support_log_joint(pair.gen, x, c, support)
-    X = np.broadcast_to(x, (support.size, x.size))
-    C = None if c is None else np.broadcast_to(c, (support.size, c.size))
+    X, C = one_datapoint(x, c)
     logq = pair.inf.log_q(support.layers, X, C)
     q = np.exp(logq)
     logw = lj - logq

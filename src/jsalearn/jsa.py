@@ -179,6 +179,10 @@ class JsaConfig:
             raise ConfigError("eval_every must be at least 1")
         if self.val_samples < 1:
             raise ConfigError("val_samples must be at least 1")
+        if self.val_limit is not None and self.val_limit < 1:
+            raise ConfigError("val_limit must be at least 1")
+        if not self.lambda_bound > 0:
+            raise ConfigError("lambda_bound must be positive")
 
 
 @dataclass
@@ -328,8 +332,7 @@ def run_mis_chain(pair: ModelPair, x, n_steps: int, rng, c=None, support=None,
     occupancy matches the exact posterior.
     """
     support = support or evaluation.enumerate_support(pair.gen)
-    X = np.broadcast_to(x, (support.size, x.size))
-    C = None if c is None else np.broadcast_to(c, (support.size, c.size))
+    X, C = evaluation.one_datapoint(x, c)
     logq = pair.inf.log_q(support.layers, X, C)
     logw = pair.gen.log_joint(X, support.layers, C) - logq
     q = np.exp(logq)

@@ -10,10 +10,19 @@ Conventions used throughout:
 * Every operation accepts a single sample (1D arrays) or a batch (2D arrays,
   rows are samples). Gradients over a batch are sums over rows unless a
   per-row weight vector is supplied.
+* Each model is a chain of factors (layer spec, net, parameter slice)
+  whose log-masses are summed in order: for p the prior (a net reading c,
+  or None for free logits held in its slice), decoder nets L-1 ... 1, and
+  decoder net 0, which scores x; for q encoder nets 0 ... L-1. Factor 0's
+  net reads the datapoint (c, x or [c, x]); factor i's net reads factor
+  i-1's target, and decoder net 0 also the context.
 * A batch may give x (and c) once per datapoint while h holds several
-  latent rows per datapoint, grouped by datapoint. The nets that read the
-  datapoint itself (encoder net 0, a conditional prior net) then run once
-  per datapoint; the others run once per latent row.
+  latent rows per datapoint, grouped by datapoint. One reshape rule covers
+  every layout: each probability and target array is viewed as (m
+  datapoints, rows per datapoint, width), so a datapoint-level array is
+  (m, 1, width) and broadcasts, as a free prior's (width,) vector does.
+  Factor 0's net runs once per datapoint, and its output gradient is
+  summed over each datapoint's rows; the other nets run once per row.
 * Scoring a batch can return its forward pass as an ``Activations`` record
   (``return_acts=True``), and the gradient methods take it back
   (``acts=``), so each row goes through each net once and the gradient
@@ -149,31 +158,22 @@ def _batch(x, h, c):
                      f"{n_data} datapoints")
 
 
-def _by_datapoint(a, group):
-    """(m * group, width) latent-row array as (m, group, width)."""
-    return a.reshape(-1, group, a.shape[-1])
-
-
-def _row_weights(weights, n):
-    if weights is None:
-        return np.ones(n)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ShapeError(f"weights shape {w.shape}, expected ({n},)")
-    return w
-
-
-def _reused(acts, group):
-    if acts.group != group:
-        raise ShapeError(f"activations hold {acts.group} rows per datapoint, "
-                         f"h holds {group}")
-    return acts
+def _view(a, m):
+    """a as (m, rows per datapoint, width), by the reshape rule; a free
+    prior's (width,) vector as it is."""
+    return a if a.ndim == 1 else a.reshape(m, -1, a.shape[-1])
 
 
 def _kept(acts, keep):
     """A net's activation list, or only its output when the caller needs no
     gradient (so the hidden activations are freed at once)."""
     return acts if keep else acts[-1:]
+
+
+def _slices(nets, start):
+    """The parameter slices of nets laid out one after another from start."""
+    ends = np.cumsum([start] + [net.n_params for net in nets]).tolist()
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def join_rows(a, b, m):
@@ -191,12 +191,12 @@ class Activations:
 
     Model methods hand it out as a return value (``return_acts=True``) and
     take it back as the ``acts`` argument; no model, net or layer keeps it.
-    ``data`` is the activation list of the net that reads the datapoint
-    itself (encoder net 0, or the prior net of a conditional model; None
-    for a free prior), one row per datapoint. ``nets[k]`` is the activation
-    list of net k over the latent rows, or None for a net that reads only
-    the datapoint. The latent rows come in ``group`` consecutive rows per
-    datapoint.
+    ``data`` is the activation list of factor 0's net, which reads the
+    datapoint itself (encoder net 0, or the prior net of a conditional
+    model; None for a free prior), one row per datapoint. ``nets`` holds
+    the activation lists of the later factors' nets in factor order
+    (decoder nets L-1 ... 0, or encoder nets 1 ... L-1), each over the
+    latent rows, which come in ``group`` consecutive rows per datapoint.
     """
 
     data: list | None
@@ -208,21 +208,16 @@ class Activations:
         whose row j picks rows of datapoint j; the datapoint pass is
         shared."""
         flat = rows.reshape(-1)
-        nets = [None if a is None else [t[flat] for t in a] for a in self.nets]
-        return Activations(self.data, nets, rows.shape[1])
+        return Activations(self.data, [[t[flat] for t in a] for a in self.nets],
+                           rows.shape[1])
 
     def join(self, other):
         """Per datapoint, this record's latent rows, then other's. Both
         records must share one datapoint pass."""
         if other.data is not self.data:
             raise ShapeError("joined records must share their datapoint pass")
-        nets = []
-        for a, b in zip(self.nets, other.nets):
-            if a is None:
-                nets.append(None)
-            else:
-                m = a[0].shape[0] // self.group
-                nets.append([join_rows(s, t, m) for s, t in zip(a, b)])
+        nets = [[join_rows(s, t, s.shape[0] // self.group) for s, t in zip(a, b)]
+                for a, b in zip(self.nets, other.nets)]
         return Activations(self.data, nets, self.group + other.group)
 
     def datapoints(self, sel):
@@ -231,43 +226,25 @@ class Activations:
         return Activations([t[sel] for t in self.data], [], 1)
 
 
-class GenerativeModel:
-    """Latent-variable generative model p(x, h) (optionally p(x, h | c)).
+class _FactorChain:
+    """The input check, forward pass, log-mass sum, weighted backward pass
+    and ancestral draw of a chain of ``_factors`` (see the module
+    docstring). A subclass sets ``_factors`` and ``_context_last`` and
+    defines ``_data_input`` (factor 0's net input) and ``_targets``."""
 
-    The top layer has either learned free logits or, in the conditional
-    case, a prior net mapping the context c to its distribution. Decoder
-    net k maps h[k] to the distribution parameters of h[k-1]; decoder net 0
-    maps h[0] (concatenated with c when conditional) to Bernoulli
-    probabilities of the observation.
-    """
-
-    def __init__(self, layer_specs, decoder_nets, obs_width, params,
-                 prior_logits=None, prior_net=None, context_width=0):
-        assert (prior_logits is None) != (prior_net is None)
+    def __init__(self, layer_specs, obs_width, params, context_width):
         self.layer_specs = layer_specs
-        self.decoder_nets = decoder_nets
         self.obs_width = obs_width
         self.context_width = context_width
-        self.prior_logits = prior_logits
-        self.prior_net = prior_net
         self.params = params
         self.n_params = params.size
-
-        off = 0
-        n_prior = (prior_net.n_params if prior_net is not None
-                   else layer_specs[-1].width)
-        self.prior_slice = slice(0, n_prior)
-        off = n_prior
-        self.decoder_slices = []
-        for net in decoder_nets:
-            self.decoder_slices.append(slice(off, off + net.n_params))
-            off += net.n_params
 
     @property
     def n_layers(self):
         return len(self.layer_specs)
 
-    def _check_inputs(self, x, h, c):
+    def _check(self, x, h, c):
+        """The checks of every scoring and gradient call."""
         if len(h) != self.n_layers:
             raise ShapeError(f"expected {self.n_layers} latent layers, got {len(h)}")
         for spec, hk in zip(self.layer_specs, h):
@@ -280,6 +257,9 @@ class GenerativeModel:
         if x.shape[-1] != self.obs_width:
             raise ShapeError(
                 f"observation width {x.shape[-1]}, expected {self.obs_width}")
+        self._check_context(c)
+
+    def _check_context(self, c):
         if self.context_width:
             if c is None:
                 raise ShapeError("this model is conditional; context c required")
@@ -289,27 +269,142 @@ class GenerativeModel:
         elif c is not None:
             raise ShapeError("context passed to an unconditional model")
 
-    def _prior_probs(self, c):
-        spec = self.layer_specs[-1]
-        if self.prior_net is not None:
-            return self.prior_net.forward(c)[-1]
-        if spec.kind == "bernoulli":
-            return clamped_sigmoid(self.prior_logits)
-        return group_softmax(self.prior_logits, spec.n_vars, spec.n_categories)
+    def _data_pass(self, x2, c2, keep):
+        """Factor 0's net over the datapoints (None for a free prior)."""
+        net = self._factors[0][1]
+        return (None if net is None
+                else _kept(net.forward(self._data_input(x2, c2)), keep))
 
-    def _forward(self, h2, c2, group, keep):
-        """Every net's pass: the prior net over the contexts, each decoder
-        net over the latent rows."""
-        data = None
-        if self.prior_net is not None:
-            data = _kept(self.prior_net.forward(c2), keep)
-        nets = [None] * self.n_layers
-        for k in range(self.n_layers - 1, 0, -1):
-            nets[k] = _kept(self.decoder_nets[k].forward(h2[k]), keep)
-        dec_in = h2[0] if c2 is None else np.concatenate(
-            [h2[0], np.repeat(c2, group, axis=0)], axis=-1)
-        nets[0] = _kept(self.decoder_nets[0].forward(dec_in), keep)
+    def _net_input(self, i, prev, c2, group):
+        """Factor i's net input: factor i-1's target rows, joined by each
+        row's context for the last generative factor."""
+        if self._context_last and c2 is not None and i == len(self._factors) - 1:
+            return np.concatenate([prev, np.repeat(c2, group, axis=0)], axis=-1)
+        return prev
+
+    def _probs(self, acts):
+        """Each factor's probabilities, in factor order; a free prior's
+        come from its logits."""
+        spec, net, params = self._factors[0]
+        if net is not None:
+            first = acts.data[-1]
+        elif spec.kind == "bernoulli":
+            first = clamped_sigmoid(self.params[params])
+        else:
+            first = group_softmax(self.params[params], spec.n_vars,
+                                  spec.n_categories)
+        return [first] + [a[-1] for a in acts.nets]
+
+    def _forward(self, x2, h2, c2, group, keep, data=None):
+        """Every net's pass: factor 0's over the datapoints (unless data
+        holds it), each later factor's over the latent rows."""
+        if data is None:
+            data = self._data_pass(x2, c2, keep)
+        targets = self._targets(x2, h2)
+        nets = [_kept(f[1].forward(self._net_input(i, t, c2, group)), keep)
+                for i, (f, t) in enumerate(zip(self._factors[1:], targets), 1)]
         return Activations(data, nets, group)
+
+    def _log_mass(self, acts, targets, m):
+        """The log-mass of each latent row: every factor's term, summed in
+        factor order."""
+        total = 0.0
+        for (spec, _, _), p, t in zip(self._factors, self._probs(acts), targets):
+            total = total + spec.log_mass(_view(p, m), _view(t, m))
+        return total.ravel()
+
+    def _score(self, x, h, c, acts, return_acts):
+        self._check(x, h, c)
+        x2, h2, c2, group = _batch(x, h, c)
+        rec = self._forward(x2, h2, c2, group, return_acts,
+                            None if acts is None else acts.data)
+        total = self._log_mass(rec, self._targets(x2, h2), x2.shape[0])
+        out = total if x.ndim == 2 else float(total[0])
+        return (out, rec) if return_acts else out
+
+    def _grad(self, x, h, c, weights, acts, out):
+        self._check(x, h, c)
+        x2, h2, c2, group = _batch(x, h, c)
+        m, n = x2.shape[0], h2[0].shape[0]
+        w = (np.ones(n) if weights is None
+             else np.asarray(weights, dtype=np.float64))
+        if w.shape != (n,):
+            raise ShapeError(f"weights shape {w.shape}, expected ({n},)")
+        if acts is None:
+            acts = self._forward(x2, h2, c2, group, keep=True)
+        elif acts.group != group:
+            raise ShapeError(f"activations hold {acts.group} rows per "
+                             f"datapoint, h holds {group}")
+        w = w.reshape(m, group, 1)
+        g = grad_buffer(out, self.n_params)
+        passes = [acts.data] + acts.nets
+        for i, ((spec, net, params), p, t) in enumerate(
+                zip(self._factors, self._probs(acts), self._targets(x2, h2))):
+            gout = spec.mass_dprobs(_view(p, m), _view(t, m)) * w
+            if net is None:
+                # Free prior logits: every latent row adds its gradient.
+                p = np.broadcast_to(p, gout.shape)
+                if spec.kind == "bernoulli":
+                    gout = clamped_sigmoid_vjp(p, gout)
+                else:
+                    gout = group_softmax_vjp(p, gout, spec.n_vars,
+                                             spec.n_categories)
+                g[params] = gout.reshape(-1, spec.width).sum(axis=0)
+                continue
+            # Factor 0's net ran once per datapoint: sum the output
+            # gradients of a datapoint's rows and back-propagate one row.
+            gout = gout.sum(axis=1) if i == 0 else gout.reshape(-1, spec.width)
+            net.backward(passes[i], gout, g[params])
+        return g
+
+    def _sample(self, data, m, group, c2, rng, keep):
+        """Ancestral draw of group rows per datapoint: factor 0 from its
+        probabilities, each later factor given the row above. Returns the
+        targets in factor order and the record of the pass."""
+        rec = Activations(data, [], group)
+        spec = self._factors[0][0]
+        probs = np.broadcast_to(_view(self._probs(rec)[0], m),
+                                (m, group, spec.width))
+        targets = [spec.sample(probs, rng).reshape(m * group, spec.width)]
+        for i, (spec, net, _) in enumerate(self._factors[1:], 1):
+            rec.nets.append(_kept(net.forward(
+                self._net_input(i, targets[-1], c2, group)), keep))
+            targets.append(spec.sample(rec.nets[-1][-1], rng))
+        return targets, rec
+
+
+class GenerativeModel(_FactorChain):
+    """Latent-variable generative model p(x, h) (optionally p(x, h | c)).
+
+    The top layer has either learned free logits (the leading block of
+    params) or, in the conditional case, a prior net mapping the context c
+    to its distribution. Decoder net k maps h[k] to the distribution
+    parameters of h[k-1]; decoder net 0 maps h[0] (concatenated with c when
+    conditional) to Bernoulli probabilities of the observation.
+    """
+
+    _context_last = True
+
+    def __init__(self, layer_specs, decoder_nets, obs_width, params,
+                 prior_logits=None, prior_net=None, context_width=0):
+        assert (prior_logits is None) != (prior_net is None)
+        super().__init__(layer_specs, obs_width, params, context_width)
+        self.decoder_nets = decoder_nets
+        self.prior_logits = prior_logits
+        self.prior_net = prior_net
+        n_prior = (prior_net.n_params if prior_net is not None
+                   else layer_specs[-1].width)
+        dec = _slices(decoder_nets, n_prior)
+        outs = [StochasticLayerSpec.bernoulli(obs_width)] + list(layer_specs)
+        self._factors = [(layer_specs[-1], prior_net, slice(0, n_prior))] + [
+            (outs[k], decoder_nets[k], dec[k])
+            for k in reversed(range(len(decoder_nets)))]
+
+    def _data_input(self, x2, c2):
+        return c2
+
+    def _targets(self, x2, h2):
+        return h2[::-1] + [x2]
 
     def log_joint(self, x, h, c=None, return_acts=False):
         """log p(x, h) (or log p(x, h | c)); float for 1D inputs, one entry
@@ -319,22 +414,7 @@ class GenerativeModel:
         consecutive groups, one group per datapoint. With return_acts the
         result is (log p, acts), the record grad_log_joint reuses.
         """
-        self._check_inputs(x, h, c)
-        x2, h2, c2, group = _batch(x, h, c)
-        acts = self._forward(h2, c2, group, keep=return_acts)
-        top_spec = self.layer_specs[-1]
-        if acts.data is None:
-            total = top_spec.log_mass(self._prior_probs(None), h2[-1])
-        else:
-            total = top_spec.log_mass(acts.data[-1][:, None],
-                                      _by_datapoint(h2[-1], group)).ravel()
-        for k in range(self.n_layers - 1, 0, -1):
-            total = total + self.layer_specs[k - 1].log_mass(
-                acts.nets[k][-1], h2[k - 1])
-        total = total + StochasticLayerSpec.bernoulli(self.obs_width).log_mass(
-            _by_datapoint(acts.nets[0][-1], group), x2[:, None]).ravel()
-        out = total if x.ndim == 2 else float(total[0])
-        return (out, acts) if return_acts else out
+        return self._score(x, h, c, None, return_acts)
 
     def grad_log_joint(self, x, h, c=None, weights=None, acts=None,
                        out=None):
@@ -348,69 +428,24 @@ class GenerativeModel:
         contiguous float64 (n_params,) buffer, every entry overwritten) and
         returned; without out it is a fresh array.
         """
-        self._check_inputs(x, h, c)
-        x2, h2, c2, group = _batch(x, h, c)
-        w = _row_weights(weights, h2[0].shape[0])[:, None]
-        acts = (self._forward(h2, c2, group, keep=True) if acts is None
-                else _reused(acts, group))
-
-        g = grad_buffer(out, self.n_params)
-        top_spec = self.layer_specs[-1]
-        if self.prior_net is not None:
-            # Every latent row of a datapoint shares its prior pass: sum
-            # their output gradients and back-propagate one row each.
-            gout = (top_spec.mass_dprobs(acts.data[-1][:, None],
-                                         _by_datapoint(h2[-1], group))
-                    * _by_datapoint(w, group)).sum(axis=1)
-            self.prior_net.backward(acts.data, gout, g[self.prior_slice])
-        else:
-            probs = self._prior_probs(None)
-            dmass = top_spec.mass_dprobs(probs, h2[-1]) * w
-            probs2 = np.broadcast_to(probs, dmass.shape)
-            if top_spec.kind == "bernoulli":
-                glogits = clamped_sigmoid_vjp(probs2, dmass)
-            else:
-                glogits = group_softmax_vjp(probs2, dmass, top_spec.n_vars,
-                                            top_spec.n_categories)
-            g[self.prior_slice] = glogits.sum(axis=0)
-
-        for k in range(self.n_layers - 1, 0, -1):
-            a = acts.nets[k]
-            gout = self.layer_specs[k - 1].mass_dprobs(a[-1], h2[k - 1])
-            self.decoder_nets[k].backward(a, gout * w,
-                                          g[self.decoder_slices[k]])
-
-        a = acts.nets[0]
-        obs_spec = StochasticLayerSpec.bernoulli(self.obs_width)
-        gout = obs_spec.mass_dprobs(_by_datapoint(a[-1], group),
-                                    x2[:, None]).reshape(a[-1].shape) * w
-        self.decoder_nets[0].backward(a, gout, g[self.decoder_slices[0]])
-        return g
+        return self._grad(x, h, c, weights, acts, out)
 
     def sample_joint(self, rng, n=1, c=None):
         """Ancestral sample of (x, h); always batched: x is (n, obs_width).
 
         For conditional models n is taken from the rows of c.
         """
+        self._check_context(c)
         if self.context_width:
-            if c is None or c.ndim != 2:
+            if c.ndim != 2:
                 raise ShapeError("conditional sampling needs a 2D context batch")
             n = c.shape[0]
-        top_spec = self.layer_specs[-1]
-        probs = self._prior_probs(c)
-        probs = np.broadcast_to(probs, (n, top_spec.width))
-        h = [None] * self.n_layers
-        h[-1] = top_spec.sample(probs, rng)
-        for k in range(self.n_layers - 1, 0, -1):
-            probs = self.decoder_nets[k].forward(h[k])[-1]
-            h[k - 1] = self.layer_specs[k - 1].sample(probs, rng)
-        dec_in = h[0] if c is None else np.concatenate([h[0], c], axis=-1)
-        probs = self.decoder_nets[0].forward(dec_in)[-1]
-        x = StochasticLayerSpec.bernoulli(self.obs_width).sample(probs, rng)
-        return x, h
+        targets, _ = self._sample(self._data_pass(None, c, False), n, 1, c,
+                                  rng, False)
+        return targets[-1], targets[-2::-1]
 
 
-class InferenceModel:
+class InferenceModel(_FactorChain):
     """Factorized approximate posterior q(h | x) (or q(h | x, c)).
 
     Encoder net 0 maps the observation (the full context+observation vector
@@ -419,69 +454,20 @@ class InferenceModel:
     datapoint however many latent rows share that datapoint.
     """
 
+    _context_last = False
+
     def __init__(self, layer_specs, encoder_nets, obs_width, params,
                  context_width=0):
-        self.layer_specs = layer_specs
+        super().__init__(layer_specs, obs_width, params, context_width)
         self.encoder_nets = encoder_nets
-        self.obs_width = obs_width
-        self.context_width = context_width
-        self.params = params
-        self.n_params = params.size
-        self.encoder_slices = []
-        off = 0
-        for net in encoder_nets:
-            self.encoder_slices.append(slice(off, off + net.n_params))
-            off += net.n_params
+        self._factors = list(zip(layer_specs, encoder_nets,
+                                 _slices(encoder_nets, 0)))
 
-    @property
-    def n_layers(self):
-        return len(self.layer_specs)
+    def _data_input(self, x2, c2):
+        return x2 if c2 is None else np.concatenate([c2, x2], axis=-1)
 
-    def _enc_input(self, x, c):
-        if self.context_width:
-            if c is None:
-                raise ShapeError("this model is conditional; context c required")
-            return np.concatenate([c, x], axis=-1)
-        if c is not None:
-            raise ShapeError("context passed to an unconditional model")
-        return x
-
-    def _check(self, h, x):
-        if len(h) != self.n_layers:
-            raise ShapeError(f"expected {self.n_layers} latent layers, got {len(h)}")
-        for spec, hk in zip(self.layer_specs, h):
-            if hk.shape[-1] != spec.width:
-                raise ShapeError(
-                    f"latent layer width {hk.shape[-1]}, expected {spec.width}")
-            spec.check_domain(hk)
-        if x.shape[-1] != self.obs_width:
-            raise ShapeError(
-                f"observation width {x.shape[-1]}, expected {self.obs_width}")
-
-    def _data_pass(self, x2, c2, acts, keep):
-        """Encoder net 0 over the datapoints, or the pass acts already
-        holds for them."""
-        if acts is not None:
-            return acts.data
-        return _kept(self.encoder_nets[0].forward(self._enc_input(x2, c2)),
-                     keep)
-
-    def _log_mass(self, acts, h2):
-        """log q of each latent row from the nets' outputs in acts."""
-        total = self.layer_specs[0].log_mass(
-            acts.data[-1][:, None], _by_datapoint(h2[0], acts.group)).ravel()
-        for k in range(1, self.n_layers):
-            total = total + self.layer_specs[k].log_mass(acts.nets[k][-1],
-                                                         h2[k])
-        return total
-
-    def _forward(self, x2, c2, h2, group, acts, keep):
-        """Every net's pass: encoder net 0 over the datapoints (unless acts
-        holds it), each later encoder net over the latent rows."""
-        nets = [None] * self.n_layers
-        for k in range(1, self.n_layers):
-            nets[k] = _kept(self.encoder_nets[k].forward(h2[k - 1]), keep)
-        return Activations(self._data_pass(x2, c2, acts, keep), nets, group)
+    def _targets(self, x2, h2):
+        return h2
 
     def log_q(self, h, x, c=None, acts=None, return_acts=False):
         """log q(h | x); float for 1D inputs, one entry per latent row for
@@ -492,12 +478,7 @@ class InferenceModel:
         the same x and c; its encoder-net-0 pass is reused. With return_acts
         the result is (log q, acts), the record grad_log_q reuses.
         """
-        self._check(h, x)
-        x2, h2, c2, group = _batch(x, h, c)
-        rec = self._forward(x2, c2, h2, group, acts, keep=return_acts)
-        total = self._log_mass(rec, h2)
-        out = total if x.ndim == 2 else float(total[0])
-        return (out, rec) if return_acts else out
+        return self._score(x, h, c, acts, return_acts)
 
     def grad_log_q(self, h, x, c=None, weights=None, acts=None, out=None):
         """Gradient of log q(h | x) w.r.t. phi, flat (n_params,); batched
@@ -507,25 +488,7 @@ class InferenceModel:
         is recomputed. The gradient is written into out (a contiguous
         float64 (n_params,) buffer, every entry overwritten) and returned;
         without out it is a fresh array."""
-        self._check(h, x)
-        x2, h2, c2, group = _batch(x, h, c)
-        w = _row_weights(weights, h2[0].shape[0])[:, None]
-        acts = (self._forward(x2, c2, h2, group, None, keep=True)
-                if acts is None else _reused(acts, group))
-
-        g = grad_buffer(out, self.n_params)
-        # The latent rows of a datapoint share its encoder-net-0 pass: sum
-        # their output gradients and back-propagate one row per datapoint.
-        gout = (self.layer_specs[0].mass_dprobs(acts.data[-1][:, None],
-                                                _by_datapoint(h2[0], group))
-                * _by_datapoint(w, group)).sum(axis=1)
-        self.encoder_nets[0].backward(acts.data, gout,
-                                      g[self.encoder_slices[0]])
-        for k in range(1, self.n_layers):
-            a = acts.nets[k]
-            gout = self.layer_specs[k].mass_dprobs(a[-1], h2[k]) * w
-            self.encoder_nets[k].backward(a, gout, g[self.encoder_slices[k]])
-        return g
+        return self._grad(x, h, c, weights, acts, out)
 
     def sample_q(self, x, c=None, rng=None, return_log_q=False, *,
                  n_samples=1, acts=None, return_acts=False):
@@ -537,18 +500,14 @@ class InferenceModel:
         encoder-net-0 pass is reused. return_log_q adds log q(h | x);
         return_acts returns (h, log q, acts), the record grad_log_q reuses.
         """
+        self._check_context(c)
         x2, c2 = _2d(x), None if c is None else _2d(c)
         m, n = x2.shape[0], n_samples
-        data = self._data_pass(x2, c2, acts, return_acts)
-        spec = self.layer_specs[0]
-        probs = np.broadcast_to(data[-1][:, None], (m, n, spec.width))
-        h = [spec.sample(probs, rng).reshape(m * n, spec.width)]
-        nets = [None] * self.n_layers
-        for k in range(1, self.n_layers):
-            nets[k] = _kept(self.encoder_nets[k].forward(h[-1]), return_acts)
-            h.append(self.layer_specs[k].sample(nets[k][-1], rng))
-        rec = Activations(data, nets, n)
-        logq = self._log_mass(rec, h) if return_log_q or return_acts else None
+        data = (self._data_pass(x2, c2, return_acts) if acts is None
+                else acts.data)
+        h, rec = self._sample(data, m, n, c2, rng, return_acts)
+        logq = (self._log_mass(rec, h, m) if return_log_q or return_acts
+                else None)
         if x.ndim == 1 and n == 1:
             h = [hk[0] for hk in h]
             logq = None if logq is None else float(logq[0])

@@ -1,4 +1,5 @@
-"""Enumeration oracles, exact quantities, estimators, variance reports."""
+"""Enumeration oracles, exact quantities, estimators, variance reports and
+the oracle checks built on them."""
 
 import itertools
 import tracemalloc
@@ -9,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsalearn import evaluation as ev
-from jsalearn import data, jsa
+from jsalearn import checks, data, jsa
 from jsalearn.errors import CapabilityError, ConfigError, ShapeError
-from jsalearn.models import StochasticLayerSpec, build_architecture
+from jsalearn.models import (
+    GenerativeModel,
+    StochasticLayerSpec,
+    build_architecture,
+)
 
 
 def random_pair(seed, arch="enc: 4-3s~B3; dec: B3-4s", scale=1.0):
@@ -281,3 +286,21 @@ class TestGradVariance:
                                 np.array([1.0, 2.0])) == 0.0
         assert ev.rel_deviation(np.array([2.0]), np.array([1.0])) == \
             pytest.approx(1.0)
+
+
+class TestOracleChecks:
+    def test_nan_gradient_fails_the_gradient_checks(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN deviation must fail a check, not read
+        # as perfect agreement.
+        grad = GenerativeModel.grad_log_joint
+
+        def poisoned(self, *args, **kwargs):
+            g = grad(self, *args, **kwargs)
+            g[0] = np.nan
+            return g
+
+        monkeypatch.setattr(GenerativeModel, "grad_log_joint", poisoned)
+        for res in (checks.check_gradient_agreement(instances_per_family=1),
+                    checks.check_fisher_identity(n_models=3)):
+            assert not res.passed
+            assert "nan" in res.detail

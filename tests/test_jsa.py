@@ -534,6 +534,11 @@ class TestConfig:
             JsaConfig(total_epochs=5, stage1_epochs=6)
         with pytest.raises(ConfigError):
             JsaConfig(total_epochs=-1)
+        with pytest.raises(ConfigError):
+            JsaConfig(val_limit=0)
+        for bound in (float("nan"), -1.0):
+            with pytest.raises(ConfigError):
+                JsaConfig(lambda_bound=bound)
         JsaConfig(total_epochs=0, stage1_epochs=0)  # initial-state run
 
 

@@ -338,18 +338,47 @@ class TestGradients:
                                    pair.phi)
         assert rel_err(analytic, numeric) < 1e-6
 
-    def test_weighted_batch_gradient_is_weighted_sum(self):
+    @pytest.mark.parametrize("group", [1, 3])
+    @pytest.mark.parametrize("make", [
+        lambda: build_architecture("enc: 5-3s~B3; dec: B3-5s", seed=2),
+        lambda: build_architecture("enc: 5-4l-6~C2x3; dec: C2x3-4l-5s",
+                                   seed=2),
+        lambda: build_architecture("enc: 5-3s~B3-2s~B2; dec: B2-3s~B3-5s",
+                                   seed=2),
+        lambda: build_conditional(5, 3, 3, [4], seed=2),
+    ], ids=["bernoulli-prior", "categorical-prior", "two-layers",
+            "conditional"])
+    def test_weighted_batch_gradient_is_weighted_sum(self, make, group):
+        # x (and c) once per datapoint, h as `group` rows per datapoint: both
+        # directions score and differentiate the batch as they do its rows
+        # one at a time, each row with its datapoint's x repeated.
         rng = np.random.default_rng(23)
-        pair = build_architecture("enc: 5-3s~B3; dec: B3-5s", seed=2)
+        pair = make()
         pair.lam[:] = rng.normal(size=pair.lam.size)
-        X = (rng.random((6, 5)) < 0.5).astype(float)
-        H = [(rng.random((6, 3)) < 0.5).astype(float)]
-        w = rng.random(6)
-        batched = pair.gen.grad_log_joint(X, H, weights=w)
-        manual = np.zeros_like(batched)
-        for i in range(6):
-            manual += w[i] * pair.gen.grad_log_joint(X[i], [H[0][i]])
-        assert rel_err(batched, manual) < 1e-10
+        m = 3
+        X = (rng.random((m, pair.gen.obs_width)) < 0.5).astype(float)
+        C = None
+        if pair.context_width:
+            C = (rng.random((m, pair.context_width)) < 0.5).astype(float)
+        H = pair.inf.sample_q(X, C, rng=rng, n_samples=group)
+        w = rng.random(m * group)
+        gen, inf = pair.gen, pair.inf
+        directions = [
+            (gen.log_joint, gen.grad_log_joint),
+            (lambda x, h, c: inf.log_q(h, x, c),
+             lambda x, h, c, **kw: inf.grad_log_q(h, x, c, **kw)),
+        ]
+        for score, grad in directions:
+            scores = score(X, H, C)
+            batched = grad(X, H, C, weights=w)
+            manual = np.zeros_like(batched)
+            for i in range(m * group):
+                x = X[i // group]
+                c = None if C is None else C[i // group]
+                h = [hk[i] for hk in H]
+                assert score(x, h, c) == pytest.approx(scores[i], abs=1e-12)
+                manual += w[i] * grad(x, h, c)
+            assert rel_err(batched, manual) < 1e-10
 
     def test_score_identity(self):
         # E_q[grad_phi log q] = 0; grouped-mean z-test
@@ -374,6 +403,43 @@ class TestGradients:
         pair.lam[:] = rng.normal(size=pair.lam.size)
         x = (rng.random(5) < 0.5).astype(float)
         assert ev.fisher_identity_check(pair.gen, x) < 1e-6
+
+
+class TestInputChecks:
+    """Scoring and gradient calls of both models run one check, so the
+    inference side rejects what the generative side rejects."""
+
+    @pytest.mark.parametrize("name", ["log_joint", "grad_log_joint", "log_q",
+                                      "grad_log_q"])
+    def test_bad_inputs_rejected(self, name):
+        pair = build_conditional(4, 3, 3, [4], seed=1)
+        method = getattr(pair.gen if "joint" in name else pair.inf, name)
+        call = method if "joint" in name else (
+            lambda x, h, c: method(h, x, c))
+        x, h, c = np.ones(4), [np.ones(3)], np.ones(3)
+        call(x, h, c)
+        for args, match in [((x, h, np.ones(2)), "context width"),
+                            ((x, h, None), "context c required"),
+                            ((x[None], h, c[None]), "all 1D or all 2D"),
+                            ((np.ones(5), h, c), "observation width"),
+                            ((x, [np.ones(2)], c), "latent layer width")]:
+            with pytest.raises(ShapeError, match=match):
+                call(*args)
+        with pytest.raises(DomainError):
+            call(x, [np.full(3, 0.5)], c)
+
+    def test_sampling_checks_the_context(self):
+        rng = np.random.default_rng(0)
+        cond = build_conditional(4, 3, 3, [4], seed=1)
+        free = build_architecture("enc: 4-3s~B3; dec: B3-4s", seed=1)
+        x, c3, c5 = np.ones((2, 4)), np.ones((2, 3)), np.ones((2, 5))
+        for draw, match in [
+                (lambda: cond.gen.sample_joint(rng, c=c5), "context width"),
+                (lambda: cond.inf.sample_q(x, c5, rng=rng), "context width"),
+                (lambda: free.gen.sample_joint(rng, c=c3), "unconditional"),
+                (lambda: free.inf.sample_q(x, c3, rng=rng), "unconditional")]:
+            with pytest.raises(ShapeError, match=match):
+                draw()
 
 
 class TestGradientBuffer:
