@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import evaluation as ev
 from . import jsa
@@ -330,7 +329,7 @@ def check_snis_consistency(seed=0, n_models=5, n_particles=20_000,
         X = np.broadcast_to(x, (n_particles, x.size))
         C = None if c is None else np.broadcast_to(c, (n_particles, c.size))
         h, logw = ev.importance_sample(pair, X, C, rng)
-        wn = np.exp(logw - logsumexp(logw))
+        wn = np.exp(logw - ev.logsumexp(logw))
         snis_mean = wn @ h[0]
         worst = _worst(worst, float(np.abs(snis_mean - exact_mean).max()))
     return CheckResult("snis-consistency", worst <= tol,
@@ -407,8 +406,8 @@ def exact_ml_fit(gen, items, iters=1500, lr=0.05, support=None) -> float:
     adam = AdamState.for_size(gen.n_params, lr=lr)
     for _ in range(iters):
         lj = gen.log_joint(X_all, H_all).reshape(n, S)
-        post = np.exp(lj - logsumexp(lj, axis=1, keepdims=True))
+        post = np.exp(lj - ev.logsumexp(lj, axis=1, keepdims=True))
         g = gen.grad_log_joint(X_all, H_all, weights=post.reshape(-1) / n)
         adam_step(gen.params, -g, adam)
     lj = gen.log_joint(X_all, H_all).reshape(n, S)
-    return float(-logsumexp(lj, axis=1).mean())
+    return float(-ev.logsumexp(lj, axis=1).mean())

@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapabilityError, ConfigError, ShapeError
 from .ndnet import finite_diff_grad
@@ -169,6 +168,27 @@ def importance_sample(pair, x, c=None, rng=None, n_samples=1):
     h, logq = pair.inf.sample_q(x, c, rng=rng, return_log_q=True,
                                 n_samples=n_samples)
     return h, pair.gen.log_joint(x, h, c) - logq
+
+
+def logsumexp(a, axis=None, keepdims=False):
+    """log sum exp(a) over axis (all axes by default), in scipy 1.17's
+    formula: the maximal terms are split out of the sum, as
+    log1p(s / m) + log m + a_max, where m counts the maxima and s sums
+    exp(a - a_max) over the rest. Where a_max is not finite (a row of
+    -inf, +inf or NaN) the result is a_max, as scipy's fallback gives."""
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = top.sum(axis=axis, keepdims=True, dtype=np.float64)
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(
+            axis=axis, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+    out = np.where(np.isfinite(a_max), out, a_max)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def log_mean_exp(a, axis=-1):

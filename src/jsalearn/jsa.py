@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from itertools import cycle, repeat
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import evaluation
 from .errors import (
@@ -312,7 +311,7 @@ def rws_minibatch_update(pair: ModelPair, batch, n_particles: int,
                                      return_acts=True)
     logp, pa = pair.gen.log_joint(X, Hp, C, return_acts=True)
     logw = (logp - logq).reshape(m, P)
-    wn = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
+    wn = np.exp(logw - evaluation.logsumexp(logw, axis=1, keepdims=True))
     w = wn.reshape(-1) / m
     g_theta = pair.gen.grad_log_joint(X, Hp, C, weights=w, acts=pa,
                                       out=out_theta)

@@ -118,6 +118,64 @@ class TestExactQuantities:
             pytest.approx(np.mean(per_point), abs=1e-10)
 
 
+def logsumexp_inputs():
+    """Random, tied (rounded), wide-range and all -inf rows."""
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        rows, cols = (int(k) for k in rng.integers(1, 40, size=2))
+        a = rng.normal(scale=float(rng.choice([1e-3, 1.0, 30.0])),
+                       size=(rows, cols))
+        kind = trial % 4
+        if kind == 1:
+            a = np.round(a)
+        elif kind == 2:
+            a *= np.exp(rng.uniform(-30.0, 30.0, size=a.shape))
+        elif kind == 3:
+            a[rng.random(a.shape) < 0.3] = -np.inf
+            a[rng.integers(rows)] = -np.inf
+        yield a
+
+
+class TestLogSumExp:
+    def test_bit_identical_to_scipy(self):
+        from scipy.special import logsumexp as reference
+        for a in logsumexp_inputs():
+            for axis in (None, 0, 1):
+                for keepdims in (False, True):
+                    got = ev.logsumexp(a, axis=axis, keepdims=keepdims)
+                    want = reference(a, axis=axis, keepdims=keepdims)
+                    assert np.shape(got) == np.shape(want)
+                    assert type(got) is type(want)
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("row,want", [
+        ([-np.inf, -np.inf], -np.inf),
+        ([np.inf, 1.0], np.inf),
+        ([np.nan, 1.0], np.nan),
+        ([np.inf, np.nan], np.nan),
+    ])
+    def test_non_finite_rows_match_scipy(self, row, want):
+        from scipy.special import logsumexp as reference
+        a = np.array([row, [0.0, 1.0]])
+        got = ev.logsumexp(a, axis=1)
+        assert np.array_equal(got, reference(a, axis=1), equal_nan=True)
+        assert np.array_equal(got[0], want, equal_nan=True)
+
+    def test_runtime_imports_leave_scipy_out(self):
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(ev.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, jsalearn.cli, jsalearn.checks; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestEstimators:
     def test_estimate_nll_close_to_exact_at_large_n(self):
         pair, rng = random_pair(6, scale=0.5)
