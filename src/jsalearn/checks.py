@@ -408,6 +408,6 @@ def exact_ml_fit(gen, items, iters=1500, lr=0.05, support=None) -> float:
         lj = gen.log_joint(X_all, H_all).reshape(n, S)
         post = np.exp(lj - ev.logsumexp(lj, axis=1, keepdims=True))
         g = gen.grad_log_joint(X_all, H_all, weights=post.reshape(-1) / n)
-        adam_step(gen.params, -g, adam)
+        adam_step(gen.params, g, adam)
     lj = gen.log_joint(X_all, H_all).reshape(n, S)
     return float(-ev.logsumexp(lj, axis=1).mean())

@@ -404,12 +404,15 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     and the Adam moments and step restored to the last finished epoch) on
     numeric blow-up.
 
-    Each update writes its gradient into one lam-sized step buffer made
-    once per run, which train negates in place (zeroing the theta block
-    under freeze_theta) and hands to adam_step; no lam-sized array is made
-    per update. on_update(epoch, n, pair, est) is called after the step,
-    and est.g_theta and est.g_phi are views of that negated step buffer,
-    valid only until the next update overwrites it.
+    Each update writes its gradient, the ascent direction, into one
+    lam-sized step buffer made once per run; train zeroes its theta block
+    under freeze_theta and hands it to adam_step as it is. adam_step
+    returns the new lam's sum of squares, and a lam whose norm exceeds
+    lambda_bound (or is not finite) counts as divergence. No lam-sized
+    array is made and no further pass over lam is taken per update.
+    on_update(epoch, n, pair, est) is called after the step, and
+    est.g_theta and est.g_phi are views of that ascent buffer, valid only
+    until the next update overwrites it.
     """
     if algorithm not in ("jsa", "rws"):
         raise ConfigError(f"unknown algorithm '{algorithm}'")
@@ -426,8 +429,7 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     widths = [spec.width for spec in pair.layer_specs]
     result = TrainResult(cache=LatentCache(n, widths), adam=adam)
     last_good = _LastGood(pair, adam)
-    # Each update writes its gradient (the ascent direction) here, and
-    # train negates it in place for Adam.
+    # Each update writes its gradient (the ascent direction) here.
     step = np.empty_like(pair.lam)
     t0 = time.perf_counter()
 
@@ -450,13 +452,11 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
                     est = rws_minibatch_update(pair, batch,
                                                config.particle_number, rng,
                                                out=step)
-                np.negative(step, out=step)
                 if config.freeze_theta:
                     step[:pair.n_theta] = 0.0
-                adam_step(pair.lam, step, adam)
-                # One pass over lam; inf or NaN fails the comparison too.
-                if not math.sqrt(float(pair.lam @ pair.lam)) \
-                        <= config.lambda_bound:
+                sumsq = adam_step(pair.lam, step, adam)
+                # inf or NaN fails the comparison too.
+                if not math.sqrt(sumsq) <= config.lambda_bound:
                     raise NumericError(
                         f"parameters diverged at epoch {epoch}")
                 ep_accept += est.accept_count

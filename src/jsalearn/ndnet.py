@@ -1,6 +1,12 @@
 """Dense-array numerics: layered feedforward nets with hand-derived backward
 passes, an Adam optimizer, and a central finite-difference oracle.
 
+Adam takes the ascent direction, which is what the training loop holds,
+and folds both bias corrections into its step size (Kingma & Ba's
+efficient ordering). One step is one walk over cache-sized blocks of the
+flat vectors, and it returns the new parameters' sum of squares, taken
+during that walk, so the caller's divergence test costs no further pass.
+
 Everything is float64. A net's parameters live in one flat vector; each layer
 holds reshaped views into it, so in-place updates on the flat vector are
 immediately visible to every layer (and vice versa). Nets can also be bound
@@ -17,6 +23,7 @@ gradient with respect to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,15 +311,17 @@ def grad_buffer(out: DenseArray | None, n: int) -> DenseArray:
 
 
 # adam_step walks the vectors in blocks of this many entries, so that each
-# block's operands stay in cache across the update's dozen elementwise
+# block's operands stay in cache across the step's dozen elementwise
 # passes (1<<15 was fastest of 1<<13..1<<16 on 0.3M and 1.2M parameters).
 ADAM_BLOCK = 1 << 15
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for Adam. Minimization convention:
-    adam_step moves params against the supplied gradient.
+    """First/second moment accumulators for Adam. Ascent convention:
+    adam_step moves params along the supplied ascent direction d, and m and
+    v are the moments of the descent gradient g = -d, exactly as a
+    minimizing Adam fed g would hold them.
 
     adam_step works in block-sized scratch buffers (two float, one bool),
     made on first use and kept here; they carry nothing from one step to
@@ -333,52 +342,74 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), lr=lr, **kw)
 
 
-def adam_step(params: DenseArray, grads: DenseArray, state: AdamState):
-    """One Adam update, in place on the flat vector params. Returns
-    (params, state).
+def adam_step(params: DenseArray, ascent: DenseArray,
+              state: AdamState) -> float:
+    """One Adam step along the ascent direction, in place on the flat
+    vector params. Returns the sum of squares of the new params.
 
-    Allocation-free after the first step: block by block, every product
-    and quotient is written into the state's scratch buffers, in the
-    order of the textbook formula, so the results are bit-identical to it.
-    A non-finite gradient entry raises NumericError before anything is
-    written, so params, m, v and step are then unchanged.
+    Kingma & Ba's folded form (arXiv:1412.6980, Section 2): with
+    g = -ascent,
+
+        m += (1 - beta1)(g - m)     computed as m -= (1 - beta1)(ascent + m)
+        v = beta2 v + (1 - beta2) g g
+        params -= lr_t * m / (sqrt(v) + eps_t)
+
+    where lr_t = lr sqrt(1 - beta2^t) / (1 - beta1^t) and
+    eps_t = eps sqrt(1 - beta2^t) carry both bias corrections. v keeps the
+    textbook update, bit for bit: where g*g overflows it stays inf, where
+    v += (1 - beta2)(g*g - v) would form inf - inf. m and params agree
+    with the textbook m_hat / v_hat form to rounding, not bit for bit.
+    The step is one walk over cache-sized blocks, each written through the
+    state's scratch buffers, and the sum of squares is taken from each new
+    block while it is still in cache. Nothing lam-sized is allocated.
+
+    A non-finite ascent entry raises NumericError before anything is
+    written, so params, m, v and step are then unchanged. One dot product
+    screens for that; only when it is not finite (a NaN or infinite entry,
+    or finite entries whose squares overflow) is every entry tested.
     """
-    if (params.ndim != 1 or params.shape != grads.shape
+    if (params.ndim != 1 or params.shape != ascent.shape
             or params.shape != state.m.shape):
         raise ShapeError(
-            f"params {params.shape}, grads {grads.shape}, state {state.m.shape} "
-            "must all agree and be flat")
+            f"params {params.shape}, ascent {ascent.shape}, state "
+            f"{state.m.shape} must all agree and be flat")
     size = min(params.size, ADAM_BLOCK)
     if not state.scratch or state.scratch[0].size < size:
         state.scratch = (np.empty(size), np.empty(size),
                          np.empty(size, dtype=bool))
-    finite = state.scratch[2]
-    for lo in range(0, grads.size, ADAM_BLOCK):
-        g = grads[lo:lo + ADAM_BLOCK]
-        ok = finite[:g.size]
-        if not np.isfinite(g, out=ok).all():
-            raise NumericError("non-finite gradient passed to adam_step")
+    with np.errstate(over="ignore"):
+        screened = math.isfinite(float(ascent @ ascent))
+    if not screened:
+        finite = state.scratch[2]
+        for lo in range(0, ascent.size, ADAM_BLOCK):
+            d = ascent[lo:lo + ADAM_BLOCK]
+            if not np.isfinite(d, out=finite[:d.size]).all():
+                raise NumericError("non-finite gradient passed to adam_step")
     state.step += 1
     t = state.step
+    keep1, keep2 = 1.0 - state.beta1, 1.0 - state.beta2
+    root = math.sqrt(1.0 - state.beta2 ** t)
+    lr_t = state.lr * root / (1.0 - state.beta1 ** t)
+    eps_t = state.eps * root
+    sumsq = 0.0
     for lo in range(0, params.size, ADAM_BLOCK):
         blk = slice(lo, lo + ADAM_BLOCK)
-        p, g, m, v = params[blk], grads[blk], state.m[blk], state.v[blk]
+        p, d, m, v = params[blk], ascent[blk], state.m[blk], state.v[blk]
         a, b = state.scratch[0][:p.size], state.scratch[1][:p.size]
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=a)
-        m += a
+        np.add(d, m, out=a)
+        a *= keep1
+        m -= a
         v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=a)
-        a *= g
+        np.multiply(d, keep2, out=a)
+        a *= d
         v += a
-        np.divide(m, 1.0 - state.beta1 ** t, out=a)     # m_hat
-        a *= state.lr
-        np.divide(v, 1.0 - state.beta2 ** t, out=b)     # v_hat
-        np.sqrt(b, out=b)
-        b += state.eps
+        np.multiply(m, lr_t, out=a)
+        np.sqrt(v, out=b)
+        b += eps_t
         a /= b
         p -= a
-    return params, state
+        sumsq += float(p @ p)
+    return sumsq
 
 
 def finite_diff_grad(scalar_fn, params: DenseArray, eps: float = 1e-5) -> DenseArray:

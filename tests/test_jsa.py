@@ -10,7 +10,7 @@ import pytest
 from scipy.special import logsumexp
 
 from jsalearn import evaluation as ev
-from jsalearn import jsa
+from jsalearn import jsa, ndnet
 from jsalearn.data import synthetic_dataset
 from jsalearn.errors import ConfigError, FormatError, ShapeError
 from jsalearn.jsa import JsaConfig, LatentCache
@@ -601,6 +601,22 @@ class TestTrain:
         assert np.array_equal(pair.theta, theta0)
         assert not np.array_equal(pair.phi, phi0)
 
+    def test_freeze_theta_leaves_theta_and_its_moments_untouched(self):
+        # Over several Adam blocks and one epoch of each stage, the zeroed
+        # theta block of the ascent step moves neither theta nor its moments.
+        from jsalearn.data import surrogate_images
+        train, _ = surrogate_images(40, 10, seed=1)
+        pair = build_architecture("linear", seed=1)
+        assert pair.lam.size > 2 * ndnet.ADAM_BLOCK
+        theta0 = pair.theta.copy()
+        cfg = JsaConfig(minibatch_size=20, total_epochs=2, stage1_epochs=1,
+                        seed=1, freeze_theta=True)
+        res = jsa.train(pair, train, cfg, timing=False)
+        assert np.array_equal(pair.theta, theta0)
+        assert not res.adam.m[:pair.n_theta].any()
+        assert not res.adam.v[:pair.n_theta].any()
+        assert res.adam.v[pair.n_theta:].any()
+
     def test_divergence_rolls_back_and_carries_result(self):
         pair, ds = self.small_problem()
         cfg = JsaConfig(minibatch_size=20, total_epochs=10, stage1_epochs=10,
@@ -643,9 +659,10 @@ class TestTrain:
                         lr=1e-3, seed=4)
         real_step = jsa.adam_step
 
-        def poisoned_step(params, grads, state):
-            real_step(params, grads, state)
+        def poisoned_step(params, ascent, state):
+            real_step(params, ascent, state)
             params[-1] = bad
+            return float(params @ params)  # train reads the norm from here
 
         monkeypatch.setattr(jsa, "adam_step", poisoned_step)
         updates = []

@@ -253,13 +253,14 @@ class TestBackward:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        """With fresh moments the first update is ~ lr * sign(grad)."""
+        """With fresh moments the first step moves params by about
+        lr * sign(d) along the ascent direction d."""
         params = np.array([1.0, -2.0, 0.5])
-        g = np.array([0.3, -0.02, 4.0])
+        d = np.array([0.3, -0.02, 4.0])
         st_ = AdamState.for_size(3, lr=0.1)
         before = params.copy()
-        adam_step(params, g, st_)
-        np.testing.assert_allclose(before - params, 0.1 * np.sign(g), rtol=1e-6)
+        adam_step(params, d, st_)
+        np.testing.assert_allclose(params - before, 0.1 * np.sign(d), rtol=1e-6)
 
     def test_zero_grad_zero_move(self):
         params = np.array([1.0, 2.0])
@@ -297,9 +298,24 @@ class TestAdam:
         np.testing.assert_array_equal(runs[0], runs[1])
 
 
+def folded_adam_step(params, ascent, state):
+    """Adam in Kingma & Ba's folded form on the ascent direction, one
+    expression per line with a fresh temporary for every product: the
+    reference for adam_step's buffered arithmetic."""
+    state.step += 1
+    t = state.step
+    root = np.sqrt(1.0 - state.beta2 ** t)
+    lr_t = state.lr * root / (1.0 - state.beta1 ** t)
+    eps_t = state.eps * root
+    state.m -= (1.0 - state.beta1) * (ascent + state.m)
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * ascent * ascent
+    params -= lr_t * state.m / (np.sqrt(state.v) + eps_t)
+
+
 def textbook_adam_step(params, grads, state):
-    """Adam written as one expression per line, with a fresh temporary for
-    every product: the reference for adam_step's buffered arithmetic."""
+    """Adam as Kingma & Ba's Algorithm 1 writes it, minimizing along grads,
+    with explicit bias-corrected moments."""
     state.step += 1
     t = state.step
     state.m *= state.beta1
@@ -311,22 +327,55 @@ def textbook_adam_step(params, grads, state):
     params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
+def close_to(a, b):
+    """a within 1e-12 of b's largest magnitude."""
+    return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
 class TestBufferedAdam:
     def test_bit_identical_to_textbook_formula(self):
         rng = np.random.default_rng(40)
         n = 2 * ndnet.ADAM_BLOCK + 1000  # two full blocks and a partial one
         p_a = rng.normal(size=n)
-        p_b = p_a.copy()
+        p_b, p_c = p_a.copy(), p_a.copy()
         s_a = AdamState.for_size(n, lr=3e-4)
         s_b = AdamState.for_size(n, lr=3e-4)
+        s_c = AdamState.for_size(n, lr=3e-4)
         for _ in range(40):
-            g = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=n)
-            adam_step(p_a, g, s_a)
-            textbook_adam_step(p_b, g, s_b)
+            d = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=n)
+            adam_step(p_a, d, s_a)
+            folded_adam_step(p_b, d, s_b)
+            textbook_adam_step(p_c, -d, s_c)
             assert np.array_equal(p_a, p_b)
             assert np.array_equal(s_a.m, s_b.m)
             assert np.array_equal(s_a.v, s_b.v)
             assert s_a.step == s_b.step
+            assert close_to(p_a, p_c)
+            assert close_to(s_a.m, s_c.m)
+            assert close_to(s_a.v, s_c.v)
+
+    def test_returns_the_new_sum_of_squares(self):
+        rng = np.random.default_rng(42)
+        n = 2 * ndnet.ADAM_BLOCK + 1000
+        params = rng.normal(size=n)
+        st_ = AdamState.for_size(n, lr=1e-2)
+        for _ in range(3):
+            sumsq = adam_step(params, rng.normal(size=n), st_)
+            want = float(params @ params)
+            assert abs(sumsq - want) <= 1e-12 * want
+
+    def test_huge_finite_gradient_passes_the_exact_check(self):
+        """Entries of 1e200 overflow the screening dot product, so every
+        entry is tested; all are finite, so the steps go ahead, and v
+        saturates at inf instead of turning NaN."""
+        params = np.zeros(3)
+        st_ = AdamState.for_size(3, lr=0.1)
+        with np.errstate(over="ignore"):
+            for _ in range(2):
+                adam_step(params, np.array([1e200, -1e200, 1.0]), st_)
+        assert st_.step == 2
+        assert np.isfinite(params).all()
+        assert np.array_equal(st_.v[:2], [np.inf, np.inf])
 
     def test_second_step_allocates_no_parameter_sized_array(self):
         """The finiteness check and the update work in block-sized
@@ -344,6 +393,22 @@ class TestBufferedAdam:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_exact_check_allocates_no_parameter_sized_array(self):
+        n = 1 << 20
+        params = np.zeros(n)
+        g = np.full(n, 1e200)  # the screening dot overflows
+        st_ = AdamState.for_size(n, lr=1e-3)
+        with np.errstate(over="ignore"):
+            adam_step(params, g, st_)
+            tracemalloc.start()
+            try:
+                adam_step(params, g, st_)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert st_.step == 2
         assert peak < 64 * 1024
 
     def test_nan_in_last_partial_block_rejected_without_state_change(self):
