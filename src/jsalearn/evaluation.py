@@ -174,8 +174,9 @@ def logsumexp(a, axis=None, keepdims=False):
     """log sum exp(a) over axis (all axes by default), in scipy 1.17's
     formula: the maximal terms are split out of the sum, as
     log1p(s / m) + log m + a_max, where m counts the maxima and s sums
-    exp(a - a_max) over the rest. Where a_max is not finite (a row of
-    -inf, +inf or NaN) the result is a_max, as scipy's fallback gives."""
+    exp(a - a_max) over the rest. Where a_max is not finite (a row that
+    is all -inf, or holds +inf or NaN) the result is a_max, as scipy's
+    fallback gives."""
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     axis = tuple(range(a.ndim)) if axis is None else axis
     a_max = np.max(a, axis=axis, keepdims=True)

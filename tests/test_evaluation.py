@@ -2,12 +2,16 @@
 the oracle checks built on them."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from jsalearn import evaluation as ev
 from jsalearn import checks, data, jsa
@@ -138,12 +142,11 @@ def logsumexp_inputs():
 
 class TestLogSumExp:
     def test_bit_identical_to_scipy(self):
-        from scipy.special import logsumexp as reference
         for a in logsumexp_inputs():
             for axis in (None, 0, 1):
                 for keepdims in (False, True):
                     got = ev.logsumexp(a, axis=axis, keepdims=keepdims)
-                    want = reference(a, axis=axis, keepdims=keepdims)
+                    want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
                     assert np.shape(got) == np.shape(want)
                     assert type(got) is type(want)
                     assert np.array_equal(got, want)
@@ -155,16 +158,12 @@ class TestLogSumExp:
         ([np.inf, np.nan], np.nan),
     ])
     def test_non_finite_rows_match_scipy(self, row, want):
-        from scipy.special import logsumexp as reference
         a = np.array([row, [0.0, 1.0]])
         got = ev.logsumexp(a, axis=1)
-        assert np.array_equal(got, reference(a, axis=1), equal_nan=True)
+        assert np.array_equal(got, scipy_logsumexp(a, axis=1), equal_nan=True)
         assert np.array_equal(got[0], want, equal_nan=True)
 
     def test_runtime_imports_leave_scipy_out(self):
-        import os
-        import subprocess
-        import sys
         src = os.path.dirname(os.path.dirname(ev.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

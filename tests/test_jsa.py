@@ -634,7 +634,9 @@ class TestTrain:
 
     def test_lambda_bound_is_inclusive_to_the_last_bit(self):
         # A run whose largest norm equals the bound finishes; one ulp less
-        # and it aborts, exactly as np.linalg.norm(lam) > bound would.
+        # and it aborts, exactly as np.linalg.norm(lam) > bound would. (lam
+        # fits in one Adam block here, so the step's sum of squares is
+        # lam @ lam; over several blocks it is summed block by block.)
         norms = []
         pair, ds = self.small_problem()
         snap = pair.copy_lam()
