@@ -18,7 +18,7 @@ Conventions used throughout:
   i-1's target, and decoder net 0 also the context.
 * A batch may give x (and c) once per datapoint while h holds several
   latent rows per datapoint, grouped by datapoint. One reshape rule covers
-  every layout: each probability and target array is viewed as (m
+  every layout: each logits and target array is viewed as (m
   datapoints, rows per datapoint, width), so a datapoint-level array is
   (m, 1, width) and broadcasts, as a free prior's (width,) vector does.
   Factor 0's net runs once per datapoint, and its output gradient is
@@ -49,7 +49,10 @@ The encoder chain runs from the observation upward and must end at a
 stochastic layer; the decoder chain runs from the top latent down and must
 end at the observation width with a sigmoid. A Bernoulli layer ``B w`` must
 be fed by a ``w``-wide sigmoid; a categorical layer ``C n x k`` by a plain
-``n*k``-wide linear (a group-softmax over n groups of k is inserted).
+``n*k``-wide linear. That last step names the factor's link (sigmoid, or a
+softmax over each of the n groups of k) but adds no layer: every net that
+feeds a stochastic factor ends at its last linear layer, whose outputs are
+the factor's logits, and ``StochasticLayerSpec`` applies the link.
 """
 
 from __future__ import annotations
@@ -60,22 +63,15 @@ import numpy as np
 
 from .errors import ArchParseError, DomainError, ShapeError
 from .ndnet import (
-    GroupSoftmax,
     LayeredNet,
     LeakyReLU,
     Linear,
     Sigmoid,
     Tanh,
-    clamped_sigmoid,
-    clamped_sigmoid_vjp,
-    group_softmax,
-    group_softmax_vjp,
     grad_buffer,
+    group_softmax,
+    sigmoid,
 )
-
-# Floor applied inside log() for categorical probabilities, which unlike
-# sigmoid outputs are not clamped (clamping would break group normalization).
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -95,30 +91,49 @@ class StochasticLayerSpec:
     def categorical(cls, n_vars: int, n_categories: int) -> "StochasticLayerSpec":
         return cls("categorical", n_vars * n_categories, n_vars, n_categories)
 
-    def log_mass(self, probs, values):
-        """Log-mass of values under factorized probs; sums the last axis.
-
-        Bernoulli values are 0/1, so (1 - v) - p * (1 - 2v) is exactly p
-        where v = 1 and 1 - p where v = 0: one log per entry, taken in the
-        one full-size array the expression builds."""
+    def probs(self, logits, out=None):
+        """The factor's probabilities: the sigmoid of each logit, or the
+        softmax of each group. out (which may be logits itself) takes them
+        in place."""
         if self.kind == "bernoulli":
-            sel = probs * (1.0 - 2.0 * values)
-            np.subtract(1.0 - values, sel, out=sel)
-            return np.log(sel, out=sel).sum(axis=-1)
-        return (values * np.log(np.maximum(probs, _TINY))).sum(axis=-1)
+            return sigmoid(logits, out=out)
+        return group_softmax(logits, self.n_vars, self.n_categories, out=out)
 
-    def mass_dprobs(self, probs, values):
-        """Derivative of log_mass w.r.t. probs, elementwise. For 0/1 values
-        1 / (p - (1 - v)) is 1/p or -1/(1-p), bit for bit the textbook
-        v/p - (1-v)/(1-p)."""
+    def log_mass(self, logits, values):
+        """Log-mass of values under the logits (the two broadcast), summed
+        over the last axis: the row dot v.a less a term of the logits alone,
+        taken once per logits row in one logits-sized temporary. For
+        Bernoulli factors that term is sum softplus(a) = (sum a + sum |a|)/2
+        + sum log1p(exp(-|a|)); for categorical ones (one-hot groups), the
+        sum of each group's logsumexp."""
         if self.kind == "bernoulli":
-            d = probs - (1.0 - values)
-            return np.divide(1.0, d, out=d)
-        return values / np.maximum(probs, _TINY)
+            t = np.abs(logits)
+            rest = 0.5 * (logits.sum(axis=-1) + t.sum(axis=-1))
+            np.exp(np.negative(t, out=t), out=t)
+            rest += np.log1p(t, out=t).sum(axis=-1)
+        else:
+            g = logits.reshape(logits.shape[:-1]
+                               + (self.n_vars, self.n_categories))
+            top = g.max(axis=-1, keepdims=True)
+            t = np.subtract(g, top)
+            np.exp(t, out=t)
+            rest = (np.log(t.sum(axis=-1)) + top[..., 0]).sum(axis=-1)
+        return np.vecdot(values, logits) - rest
+
+    def logit_grad(self, logits, values, weights):
+        """(values - probs(logits)) * weights, in the three's broadcast
+        shape: the gradient of weights * log_mass with respect to the
+        logits (for categorical factors because check_domain keeps each
+        group one-hot)."""
+        p = self.probs(logits)
+        d = np.subtract(values, p, out=p if p.shape == values.shape else None)
+        d *= weights
+        return d
 
     def sample(self, probs, rng):
         if self.kind == "bernoulli":
-            return (rng.random(np.shape(probs)) < probs).astype(np.float64)
+            u = rng.random(np.shape(probs))
+            return np.less(u, probs, out=u)
         shape = np.shape(probs)
         p = np.broadcast_to(probs, shape).reshape(
             shape[:-1] + (self.n_vars, self.n_categories))
@@ -282,17 +297,11 @@ class _FactorChain:
             return np.concatenate([prev, np.repeat(c2, group, axis=0)], axis=-1)
         return prev
 
-    def _probs(self, acts):
-        """Each factor's probabilities, in factor order; a free prior's
-        come from its logits."""
-        spec, net, params = self._factors[0]
-        if net is not None:
-            first = acts.data[-1]
-        elif spec.kind == "bernoulli":
-            first = clamped_sigmoid(self.params[params])
-        else:
-            first = group_softmax(self.params[params], spec.n_vars,
-                                  spec.n_categories)
+    def _logits(self, acts):
+        """Each factor's logits, in factor order: every net's output, or a
+        free prior's parameters."""
+        _, net, params = self._factors[0]
+        first = self.params[params] if net is None else acts.data[-1]
         return [first] + [a[-1] for a in acts.nets]
 
     def _forward(self, x2, h2, c2, group, keep, data=None):
@@ -309,8 +318,9 @@ class _FactorChain:
         """The log-mass of each latent row: every factor's term, summed in
         factor order."""
         total = 0.0
-        for (spec, _, _), p, t in zip(self._factors, self._probs(acts), targets):
-            total = total + spec.log_mass(_view(p, m), _view(t, m))
+        for (spec, _, _), a, t in zip(self._factors, self._logits(acts),
+                                      targets):
+            total = total + spec.log_mass(_view(a, m), _view(t, m))
         return total.ravel()
 
     def _score(self, x, h, c, acts, return_acts):
@@ -338,17 +348,11 @@ class _FactorChain:
         w = w.reshape(m, group, 1)
         g = grad_buffer(out, self.n_params)
         passes = [acts.data] + acts.nets
-        for i, ((spec, net, params), p, t) in enumerate(
-                zip(self._factors, self._probs(acts), self._targets(x2, h2))):
-            gout = spec.mass_dprobs(_view(p, m), _view(t, m)) * w
+        for i, ((spec, net, params), a, t) in enumerate(
+                zip(self._factors, self._logits(acts), self._targets(x2, h2))):
+            gout = spec.logit_grad(_view(a, m), _view(t, m), w)
             if net is None:
                 # Free prior logits: every latent row adds its gradient.
-                p = np.broadcast_to(p, gout.shape)
-                if spec.kind == "bernoulli":
-                    gout = clamped_sigmoid_vjp(p, gout)
-                else:
-                    gout = group_softmax_vjp(p, gout, spec.n_vars,
-                                             spec.n_categories)
                 g[params] = gout.reshape(-1, spec.width).sum(axis=0)
                 continue
             # Factor 0's net ran once per datapoint: sum the output
@@ -357,19 +361,27 @@ class _FactorChain:
             net.backward(passes[i], gout, g[params])
         return g
 
-    def _sample(self, data, m, group, c2, rng, keep):
+    def _sample(self, data, m, group, c2, rng, keep, score):
         """Ancestral draw of group rows per datapoint: factor 0 from its
-        probabilities, each later factor given the row above. Returns the
-        targets in factor order and the record of the pass."""
+        logits, each later factor given the row above. Returns the targets
+        in factor order and the record of the pass: with keep, every
+        activation (for a gradient); with score alone, each net's logits
+        (for the log-mass); with neither, no net pass, and each net's
+        probabilities overwrite its logits."""
         rec = Activations(data, [], group)
         spec = self._factors[0][0]
-        probs = np.broadcast_to(_view(self._probs(rec)[0], m),
+        probs = np.broadcast_to(_view(spec.probs(self._logits(rec)[0]), m),
                                 (m, group, spec.width))
         targets = [spec.sample(probs, rng).reshape(m * group, spec.width)]
         for i, (spec, net, _) in enumerate(self._factors[1:], 1):
-            rec.nets.append(_kept(net.forward(
-                self._net_input(i, targets[-1], c2, group)), keep))
-            targets.append(spec.sample(rec.nets[-1][-1], rng))
+            acts = _kept(net.forward(
+                self._net_input(i, targets[-1], c2, group)), keep)
+            if keep or score:
+                rec.nets.append(acts)
+                probs = spec.probs(acts[-1])
+            else:
+                probs = spec.probs(acts[-1], out=acts[-1])
+            targets.append(spec.sample(probs, rng))
         return targets, rec
 
 
@@ -380,7 +392,7 @@ class GenerativeModel(_FactorChain):
     params) or, in the conditional case, a prior net mapping the context c
     to its distribution. Decoder net k maps h[k] to the distribution
     parameters of h[k-1]; decoder net 0 maps h[0] (concatenated with c when
-    conditional) to Bernoulli probabilities of the observation.
+    conditional) to Bernoulli logits of the observation.
     """
 
     _context_last = True
@@ -441,7 +453,7 @@ class GenerativeModel(_FactorChain):
                 raise ShapeError("conditional sampling needs a 2D context batch")
             n = c.shape[0]
         targets, _ = self._sample(self._data_pass(None, c, False), n, 1, c,
-                                  rng, False)
+                                  rng, False, False)
         return targets[-1], targets[-2::-1]
 
 
@@ -505,9 +517,9 @@ class InferenceModel(_FactorChain):
         m, n = x2.shape[0], n_samples
         data = (self._data_pass(x2, c2, return_acts) if acts is None
                 else acts.data)
-        h, rec = self._sample(data, m, n, c2, rng, return_acts)
-        logq = (self._log_mass(rec, h, m) if return_log_q or return_acts
-                else None)
+        score = return_log_q or return_acts
+        h, rec = self._sample(data, m, n, c2, rng, return_acts, score)
+        logq = self._log_mass(rec, h, m) if score else None
         if x.ndim == 1 and n == 1:
             h = [hk[0] for hk in h]
             logq = None if logq is None else float(logq[0])
@@ -657,18 +669,21 @@ def _read_chain(sc: _Scanner, stop: str):
 
 def _build_net_layers(in_dim: int, run, terminal, pos: int):
     """Turns a deterministic run plus its terminal stochastic layer (or the
-    Bernoulli observation when terminal is None) into ndnet layers."""
+    Bernoulli observation when terminal is None) into ndnet layers. The
+    run's last activation names the factor's link, which the factor applies
+    itself, so the net ends at the run's last Linear."""
     if not run:
         raise ArchParseError("a stochastic layer needs preceding linear layers",
                              pos)
     layers = []
     cur = in_dim
-    for width, act, _ in run:
+    for width, act, _ in run[:-1]:
         layers.append(Linear(cur, width))
         if act:
             layers.append(_ACT_LAYERS[act]())
         cur = width
     last_width, last_act, last_pos = run[-1]
+    layers.append(Linear(cur, last_width))
     if terminal is None or terminal.kind == "bernoulli":
         want = terminal.width if terminal is not None else None
         if last_act != "s":
@@ -686,7 +701,6 @@ def _build_net_layers(in_dim: int, run, terminal, pos: int):
             raise ArchParseError(
                 f"layer width {last_width} does not match "
                 f"C{terminal.n_vars}x{terminal.n_categories}", pos)
-        layers.append(GroupSoftmax(terminal.n_vars, terminal.n_categories))
     return layers
 
 
@@ -796,7 +810,7 @@ def build_conditional(obs_width, context_width, latent_width, hidden_widths,
         for w in hidden_widths:
             layers.extend([Linear(cur, w), Tanh()])
             cur = w
-        layers.extend([Linear(cur, out_dim), Sigmoid()])
+        layers.append(Linear(cur, out_dim))
         return layers
 
     specs = [StochasticLayerSpec.bernoulli(latent_width)]

@@ -33,19 +33,22 @@ from .errors import NumericError, ShapeError, StateError
 # The universal numeric carrier: float64 numpy arrays.
 DenseArray = np.ndarray
 
-# Probabilities produced by Sigmoid are clamped into [PROB_CLAMP, 1-PROB_CLAMP]
-# so Bernoulli log-masses never see log(0).
+# Hidden Sigmoid layers clamp their outputs into [PROB_CLAMP, 1-PROB_CLAMP],
+# and clamped entries get zero gradient. No stochastic factor reads a clamped
+# value: a net feeding one ends at its logits, and the factor applies its own
+# link (models.StochasticLayerSpec).
 PROB_CLAMP = 1e-7
 
 DEFAULT_LEAKY_SLOPE = 0.01
 
 
-def sigmoid(a: DenseArray) -> DenseArray:
-    """Elementwise logistic function 1 / (1 + exp(-a)), in one new array.
+def sigmoid(a: DenseArray, out: DenseArray | None = None) -> DenseArray:
+    """Elementwise logistic function 1 / (1 + exp(-a)), in one new array, or
+    in out (which may be a itself).
 
     a is floored at -709, where exp(-a) is just below overflow, so no input
     warns: a far below -709 gives about 1e-308 instead of 0. NaN stays NaN."""
-    out = np.maximum(a, -709.0)
+    out = np.maximum(a, -709.0, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -66,18 +69,23 @@ def clamped_sigmoid_vjp(out: DenseArray, grad: DenseArray) -> DenseArray:
     return grad * out * (1.0 - out) * interior
 
 
-def group_softmax(a: DenseArray, n_groups: int, group_size: int) -> DenseArray:
-    """Softmax applied independently to consecutive groups of the last axis."""
+def group_softmax(a: DenseArray, n_groups: int, group_size: int,
+                  out: DenseArray | None = None) -> DenseArray:
+    """Softmax applied independently to consecutive groups of the last axis,
+    in one new array, or in out (which may be a itself)."""
     shape = a.shape
     g = a.reshape(shape[:-1] + (n_groups, group_size))
-    z = g - g.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = np.subtract(g, g.max(axis=-1, keepdims=True),
+                    out=None if out is None else out.reshape(g.shape))
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     return p.reshape(shape)
 
 
 def group_softmax_vjp(out: DenseArray, grad: DenseArray, n_groups: int,
                       group_size: int) -> DenseArray:
+    """Backward through group_softmax given its output. No model calls it:
+    a categorical factor's logit gradient is values - probs."""
     shape = out.shape
     p = out.reshape(shape[:-1] + (n_groups, group_size))
     v = grad.reshape(shape[:-1] + (n_groups, group_size))
@@ -113,7 +121,9 @@ class Linear:
         self.b[...] = 0.0
 
     def forward(self, x: DenseArray) -> DenseArray:
-        return x @ self.W + self.b
+        out = x @ self.W
+        out += self.b  # in place: no second output-sized array
+        return out
 
     def backward(self, x_in, x_out, grad_out, param_grad,
                  input_grad: bool = True) -> DenseArray | None:
@@ -167,7 +177,8 @@ class Tanh:
 
 
 class Sigmoid:
-    """Logistic activation whose output is clamped into [1e-7, 1-1e-7]."""
+    """Hidden logistic activation whose output is clamped into
+    [PROB_CLAMP, 1-PROB_CLAMP]."""
 
     @property
     def n_params(self) -> int:
@@ -184,30 +195,6 @@ class Sigmoid:
 
     def backward(self, x_in, x_out, grad_out, param_grad) -> DenseArray:
         return clamped_sigmoid_vjp(x_out, grad_out)
-
-
-class GroupSoftmax:
-    """Concatenation of independent softmaxes: n_groups groups of group_size."""
-
-    def __init__(self, n_groups: int, group_size: int):
-        self.n_groups = n_groups
-        self.group_size = group_size
-
-    @property
-    def n_params(self) -> int:
-        return 0
-
-    def bind(self, flat):
-        pass
-
-    def init_params(self, rng):
-        pass
-
-    def forward(self, x: DenseArray) -> DenseArray:
-        return group_softmax(x, self.n_groups, self.group_size)
-
-    def backward(self, x_in, x_out, grad_out, param_grad) -> DenseArray:
-        return group_softmax_vjp(x_out, grad_out, self.n_groups, self.group_size)
 
 
 class LayeredNet:
@@ -231,11 +218,6 @@ class LayeredNet:
                     raise ShapeError(
                         f"layer expects input width {lay.in_dim}, got {dim}")
                 dim = lay.out_dim
-            elif isinstance(lay, GroupSoftmax):
-                if lay.n_groups * lay.group_size != dim:
-                    raise ShapeError(
-                        f"GroupSoftmax over {lay.n_groups}x{lay.group_size} "
-                        f"needs width {lay.n_groups * lay.group_size}, got {dim}")
         self.layers = layers
         self.in_dim = layers[0].in_dim
         self.out_dim = dim

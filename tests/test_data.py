@@ -1,5 +1,7 @@
 """IDX files, binarization, splits, synthetic corpora."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,19 @@ class TestSurrogateCorpus:
         tr2, _ = d.surrogate_images(30, 5, seed=4)
         assert not np.array_equal(tr1.items, tr2.items)
 
+
+    def test_draw_holds_no_logits_beside_probabilities(self):
+        """The 2 100 x 784 draw keeps a net's logits and its probabilities
+        in one buffer and writes each decision into its uniforms: with two
+        such arrays (13.2 MB each) alive at once the peak stays below
+        35 MB, where a third would lift it past 45 MB."""
+        tracemalloc.start()
+        try:
+            d.surrogate_images(100, 2000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 35e6
 
 class TestDataRoot:
     def test_env_variable(self, monkeypatch):

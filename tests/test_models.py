@@ -13,7 +13,7 @@ from jsalearn.models import (
     build_architecture,
     build_conditional,
 )
-from jsalearn.ndnet import PROB_CLAMP, GroupSoftmax, finite_diff_grad
+from jsalearn.ndnet import Linear, finite_diff_grad, group_softmax
 
 
 def rel_err(a, b):
@@ -57,8 +57,14 @@ class TestGrammar:
         assert pair.layer_specs[0].width == 50
 
     def test_categorical_gets_group_softmax_head(self):
+        """Every net that feeds a stochastic factor ends at its logits; the
+        categorical factor's link is a softmax over each group."""
         pair = build_architecture("enc: 6-8l-6~C2x3; dec: C2x3-8l-6s")
-        assert isinstance(pair.inf.encoder_nets[0].layers[-1], GroupSoftmax)
+        for net in pair.inf.encoder_nets + pair.gen.decoder_nets:
+            assert isinstance(net.layers[-1], Linear)
+        logits = pair.inf.encoder_nets[0].forward(np.arange(6.0))[-1]
+        np.testing.assert_array_equal(pair.layer_specs[0].probs(logits),
+                                      group_softmax(logits, 2, 3))
 
     def test_width_mismatch_position(self):
         with pytest.raises(ArchParseError) as e:
@@ -132,15 +138,19 @@ class TestTrivialValues:
                 pytest.approx(bq[i], abs=1e-12)
 
 
+def logit(p):
+    return np.log(p) - np.log1p(-p)
+
+
 class TestLayerSpec:
     def test_bernoulli_log_mass(self):
         spec = StochasticLayerSpec.bernoulli(3)
-        probs = np.array([0.2, 0.5, 0.9])
+        logits = logit(np.array([0.2, 0.5, 0.9]))
         vals = np.array([1.0, 0.0, 1.0])
         expect = np.log(0.2) + np.log(0.5) + np.log(0.9)
-        assert spec.log_mass(probs, vals) == pytest.approx(expect, abs=1e-12)
+        assert spec.log_mass(logits, vals) == pytest.approx(expect, abs=1e-12)
 
-    # (probs shape, values shape) in every layout the models use: latent
+    # (logits shape, values shape) in every layout the models use: latent
     # rows against one row per datapoint both ways, a free prior against
     # a batch, and single samples.
     LAYOUTS = [((4, 1, 6), (4, 5, 6)), ((4, 5, 6), (4, 1, 6)),
@@ -150,37 +160,78 @@ class TestLayerSpec:
     def layout_case(probs_shape, values_shape, seed):
         rng = np.random.default_rng(seed)
         probs = rng.random(probs_shape)
-        # Both clamps, in more than one column.
+        # Probabilities 1e-7 from either end, in more than one column.
         flat = probs.reshape(-1)
-        flat[::3] = PROB_CLAMP
-        flat[1::4] = 1.0 - PROB_CLAMP
+        flat[::3] = 1e-7
+        flat[1::4] = 1.0 - 1e-7
         values = (rng.random(values_shape) < 0.5).astype(np.float64)
-        return probs, values
+        return probs, logit(probs), values
 
     @pytest.mark.parametrize("probs_shape,values_shape", LAYOUTS)
     def test_bernoulli_log_mass_matches_two_log_form(self, probs_shape,
                                                      values_shape):
         spec = StochasticLayerSpec.bernoulli(6)
-        probs, values = self.layout_case(probs_shape, values_shape, 1)
-        got = spec.log_mass(probs, values)
+        probs, logits, values = self.layout_case(probs_shape, values_shape, 1)
+        got = spec.log_mass(logits, values)
         expect = (values * np.log(probs)
                   + (1.0 - values) * np.log1p(-probs)).sum(axis=-1)
         assert np.shape(got) == np.shape(expect)
         assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
     @pytest.mark.parametrize("probs_shape,values_shape", LAYOUTS)
-    def test_bernoulli_mass_dprobs_is_textbook_bit_for_bit(self, probs_shape,
-                                                           values_shape):
+    def test_bernoulli_logit_grad_is_values_minus_probs(self, probs_shape,
+                                                        values_shape):
         spec = StochasticLayerSpec.bernoulli(6)
-        probs, values = self.layout_case(probs_shape, values_shape, 2)
-        expect = values / probs - (1.0 - values) / (1.0 - probs)
-        np.testing.assert_array_equal(spec.mass_dprobs(probs, values), expect)
+        probs, logits, values = self.layout_case(probs_shape, values_shape, 2)
+        shape = np.broadcast_shapes(probs_shape, values_shape)
+        weights = np.random.default_rng(3).random(shape[:-1] + (1,))
+        got = spec.logit_grad(logits, values, weights)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, (values - probs) * weights,
+                                   rtol=1e-13, atol=4e-16)
+
+    @pytest.mark.parametrize("spec", [StochasticLayerSpec.bernoulli(6),
+                                      StochasticLayerSpec.categorical(2, 3)],
+                             ids=["bernoulli", "categorical"])
+    def test_logit_grad_matches_finite_diff(self, spec):
+        rng = np.random.default_rng(5)
+        values = np.stack([spec.sample(spec.probs(np.zeros(6)), rng)
+                           for _ in range(4)])
+        logits = rng.normal(scale=3.0, size=6)
+        weights = rng.random((4, 1))
+        got = spec.logit_grad(logits, values, weights).sum(axis=0)
+        numeric = finite_diff_grad(
+            lambda a: float(weights[:, 0] @ spec.log_mass(a, values)), logits)
+        assert rel_err(got, numeric) < 1e-8
+
+    @pytest.mark.parametrize("spec", [StochasticLayerSpec.bernoulli(12),
+                                      StochasticLayerSpec.categorical(3, 4)],
+                             ids=["bernoulli", "categorical"])
+    def test_log_mass_exact_at_saturated_logits(self, spec):
+        """Finite and exact to 1e-12 against np.logaddexp with logits up to
+        +-800, where every probability rounds to 0 or 1."""
+        rng = np.random.default_rng(6)
+        logits = rng.uniform(-800.0, 800.0, size=(7, 12))
+        logits[:, ::5] = 800.0
+        logits[:, 1::5] = -800.0
+        values = np.stack([spec.sample(spec.probs(np.zeros(12)), rng)
+                           for _ in range(7)])
+        got = spec.log_mass(logits, values)
+        if spec.kind == "bernoulli":
+            expect = -np.logaddexp(0.0, (1.0 - 2.0 * values) * logits).sum(-1)
+        else:
+            g = logits.reshape(7, 3, 4)
+            expect = ((values * logits).sum(-1)
+                      - np.logaddexp.reduce(g, axis=-1).sum(-1))
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
 
     def test_categorical_log_mass(self):
         spec = StochasticLayerSpec.categorical(2, 3)
-        probs = np.array([0.5, 0.3, 0.2, 0.1, 0.1, 0.8])
+        # Each group's logits hold a shift the softmax ignores.
+        logits = np.log([0.5, 0.3, 0.2, 0.1, 0.1, 0.8]) + [3, 3, 3, -7, -7, -7]
         vals = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
-        assert spec.log_mass(probs, vals) == \
+        assert spec.log_mass(logits, vals) == \
             pytest.approx(np.log(0.3) + np.log(0.8), abs=1e-12)
 
     def test_domain_check_rejects_fractional(self):
@@ -286,12 +337,16 @@ class TestSampling:
 
     def test_extreme_params_keep_probs_in_domain(self):
         pair = build_architecture("enc: 5-3s~B3; dec: B3-5s")
-        pair.lam[:] = 80.0
-        probs = pair.inf.encoder_nets[0].forward(np.ones(5))[-1]
-        assert np.all(probs >= 1e-7) and np.all(probs <= 1 - 1e-7)
         rng = np.random.default_rng(0)
-        h, lq = pair.inf.sample_q(np.ones(5), rng=rng, return_log_q=True)
-        assert np.isfinite(lq)
+        for value in (80.0, -80.0):
+            pair.lam[:] = value
+            logits = pair.inf.encoder_nets[0].forward(np.ones(5))[-1]
+            probs = pair.layer_specs[0].probs(logits)
+            assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
+            h, lq = pair.inf.sample_q(np.ones(5), rng=rng, return_log_q=True)
+            np.testing.assert_array_equal(h[0], value > 0)
+            assert np.isfinite(lq)
+            assert np.isfinite(pair.gen.log_joint(np.ones(5), h))
 
 
 class TestGradients:
@@ -337,6 +392,33 @@ class TestGradients:
         numeric = finite_diff_grad(lambda _: pair.inf.log_q(h, x, c),
                                    pair.phi)
         assert rel_err(analytic, numeric) < 1e-6
+
+    def test_saturated_decoder_logits_keep_their_gradient(self):
+        """Decoder logits near +40, where the sigmoid rounds to 1: log p(x, h)
+        equals an np.logaddexp reference, and its gradient matches central
+        differences (pixels that are off contribute about -1 each)."""
+        rng = np.random.default_rng(29)
+        pair = build_architecture("enc: 5-3s~B3; dec: B3-5s")
+        pair.lam[:] = rng.normal(scale=0.1, size=pair.lam.size)
+        dec = pair.gen.decoder_nets[0].layers[0]
+        dec.b[:] = 40.0
+        x = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+        h = [np.array([1.0, 0.0, 1.0])]
+
+        def reference():
+            a = h[0] @ dec.W + dec.b
+            prior = pair.gen.prior_logits
+            return -(np.logaddexp(0.0, (1.0 - 2.0 * x) * a).sum()
+                     + np.logaddexp(0.0, (1.0 - 2.0 * h[0]) * prior).sum())
+
+        assert pair.gen.log_joint(x, h) == pytest.approx(reference(),
+                                                         rel=1e-12)
+        analytic = pair.gen.grad_log_joint(x, h)
+        numeric = finite_diff_grad(lambda _: pair.gen.log_joint(x, h),
+                                   pair.theta)
+        assert rel_err(analytic, numeric) < 1e-6
+        bias = analytic[-5:]
+        np.testing.assert_allclose(bias, x - 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("group", [1, 3])
     @pytest.mark.parametrize("make", [

@@ -2,6 +2,7 @@
 plumbing, Adam, and agreement between analytic backward passes and the
 central finite-difference oracle."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from jsalearn import ndnet
 from jsalearn.errors import NumericError, ShapeError, StateError
 from jsalearn.ndnet import (
     AdamState,
-    GroupSoftmax,
     LayeredNet,
     LeakyReLU,
     Linear,
@@ -35,7 +35,8 @@ def rel_err(a, b):
 
 
 def random_net(rng, in_dim=None):
-    """A small random net touching every layer kind."""
+    """A small random net touching every layer kind, ending at its logits
+    or at a hidden sigmoid."""
     in_dim = in_dim or int(rng.integers(2, 6))
     h1 = int(rng.integers(2, 6))
     h2 = int(rng.integers(2, 5)) * 2
@@ -48,8 +49,6 @@ def random_net(rng, in_dim=None):
     ]
     if rng.random() < 0.5:
         layers.append(Sigmoid())
-    else:
-        layers.append(GroupSoftmax(h2 // 2, 2))
     return LayeredNet(layers, rng=rng)
 
 
@@ -99,6 +98,21 @@ class TestElementwise:
         assert np.abs(sums - 1.0).max() < 1e-12
         assert (p >= 0).all()
 
+    def test_links_in_place_match_new_arrays_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(scale=30.0, size=(5, 12))
+        g = a.reshape(5, 4, 3)
+        e = np.exp(g - g.max(axis=-1, keepdims=True))
+        textbook = (e / e.sum(axis=-1, keepdims=True)).reshape(5, 12)
+        softmax = functools.partial(ndnet.group_softmax, n_groups=4,
+                                    group_size=3)
+        for link, ref in ((ndnet.sigmoid, ndnet.sigmoid(a)),
+                          (softmax, textbook)):
+            np.testing.assert_array_equal(link(a), ref)
+            b = a.copy()
+            link(b, out=b)
+            np.testing.assert_array_equal(b, ref)
+
 
 class TestLinear:
     def test_identity_weights_pass_input_through(self):
@@ -133,7 +147,7 @@ class TestLinear:
         with pytest.raises(ShapeError):
             LayeredNet([Linear(3, 4), Linear(5, 2)])
         with pytest.raises(ShapeError):
-            LayeredNet([Linear(3, 5), GroupSoftmax(2, 2)])
+            LayeredNet([Linear(3, 4), Sigmoid(), Linear(5, 2)])
 
 
 class TestFlatParams:
