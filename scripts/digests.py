@@ -13,6 +13,10 @@ It prints, as 16-hex-digit sha256 prefixes:
   the final parameter vector lam, the metrics rows, the final chain cache,
   and the validation NLL in full, and on a second line the final Adam
   state (moments m and v, and the step count);
+* the bytes of the surrogate corpus, data.surrogate_images(1000, 100,
+  seed=0) and (100, 2000, seed=0), which moves if any Bernoulli draw of
+  the teacher model flips;
+* the initial parameter vector lam of every preset at seed 0;
 * the verdicts and details of checks.run_oracle_suite at seeds 0 and 1;
 * metrics.csv of `jsa train --surrogate --arch linear --limit-train 300
   --limit-valid 100 --limit-test 100 --test-samples 50 --total-epochs 4
@@ -74,6 +78,17 @@ def training_protocol(preset):
             "adam_step": result.adam.step}
 
 
+def surrogate_corpus():
+    splits = (data.surrogate_images(1000, 100, seed=0)
+              + data.surrogate_images(100, 2000, seed=0))
+    return digest(*(d.items for d in splits))
+
+
+def initial_lams():
+    return digest(*(models.build_architecture(name, seed=0).lam
+                    for name in models.PRESET_NAMES))
+
+
 def oracle(seed):
     verdicts = [(r.name, r.passed, r.detail)
                 for r in checks.run_oracle_suite(seed=seed)]
@@ -94,6 +109,8 @@ def main():
         print(f"{preset}: lam {d['lam']}  metrics {d['metrics']}  "
               f"cache {d['cache']}  valid NLL {d['valid_nll']}")
         print(f"{preset}: adam {d['adam']}  step {d['adam_step']}")
+    print(f"surrogate corpus {surrogate_corpus()}  "
+          f"initial lam of {', '.join(models.PRESET_NAMES)} {initial_lams()}")
     for seed in (0, 1):
         d, ok = oracle(seed)
         print(f"oracle seed {seed}: verdicts {d}  "
