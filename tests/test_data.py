@@ -199,7 +199,6 @@ class TestSurrogateCorpus:
         tr2, _ = d.surrogate_images(30, 5, seed=4)
         assert not np.array_equal(tr1.items, tr2.items)
 
-
     def test_draw_holds_no_logits_beside_probabilities(self):
         """The 2 100 x 784 draw keeps a net's logits and its probabilities
         in one buffer and writes each decision into its uniforms: with two
@@ -212,6 +211,7 @@ class TestSurrogateCorpus:
         finally:
             tracemalloc.stop()
         assert peak <= 35e6
+
 
 class TestDataRoot:
     def test_env_variable(self, monkeypatch):
