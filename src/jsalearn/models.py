@@ -118,7 +118,10 @@ class StochasticLayerSpec:
             t = np.subtract(g, top)
             np.exp(t, out=t)
             rest = (np.log(t.sum(axis=-1)) + top[..., 0]).sum(axis=-1)
-        return np.vecdot(values, logits) - rest
+        # The row dot v.a as a batch of (1, n) @ (n, 1) products, which
+        # need no temporary.
+        dot = (values[..., None, :] @ logits[..., :, None])[..., 0, 0]
+        return dot - rest
 
     def logit_grad(self, logits, values, weights):
         """(values - probs(logits)) * weights, in the three's broadcast
@@ -126,7 +129,8 @@ class StochasticLayerSpec:
         logits (for categorical factors because check_domain keeps each
         group one-hot)."""
         p = self.probs(logits)
-        d = np.subtract(values, p, out=p if p.shape == values.shape else None)
+        full = p.shape == np.broadcast_shapes(p.shape, np.shape(values))
+        d = np.subtract(values, p, out=p if full else None)
         d *= weights
         return d
 
@@ -367,7 +371,8 @@ class _FactorChain:
         in factor order and the record of the pass: with keep, every
         activation (for a gradient); with score alone, each net's logits
         (for the log-mass); with neither, no net pass, and each net's
-        probabilities overwrite its logits."""
+        probabilities overwrite its logits. keep implies score."""
+        assert score or not keep
         rec = Activations(data, [], group)
         spec = self._factors[0][0]
         probs = np.broadcast_to(_view(spec.probs(self._logits(rec)[0]), m),
@@ -376,7 +381,7 @@ class _FactorChain:
         for i, (spec, net, _) in enumerate(self._factors[1:], 1):
             acts = _kept(net.forward(
                 self._net_input(i, targets[-1], c2, group)), keep)
-            if keep or score:
+            if score:
                 rec.nets.append(acts)
                 probs = spec.probs(acts[-1])
             else:
