@@ -118,10 +118,8 @@ class StochasticLayerSpec:
             t = np.subtract(g, top)
             np.exp(t, out=t)
             rest = (np.log(t.sum(axis=-1)) + top[..., 0]).sum(axis=-1)
-        # The row dot v.a as a batch of (1, n) @ (n, 1) products, which
-        # need no temporary.
-        dot = (values[..., None, :] @ logits[..., :, None])[..., 0, 0]
-        return dot - rest
+        # v.a as a batch of (1, n) @ (n, 1) products: no temporary.
+        return (values[..., None, :] @ logits[..., :, None])[..., 0, 0] - rest
 
     def logit_grad(self, logits, values, weights):
         """(values - probs(logits)) * weights, in the three's broadcast
