@@ -7,16 +7,18 @@ Run from the repository root:
 
 It prints, as 16-hex-digit sha256 prefixes:
 
-* for the `linear` and `categorical-20x10` presets, the benchmark training
-  protocol (1 000 surrogate training rows and 100 validation rows, seed 0,
-  m=50, K=2, 3 warm-up plus 2 cache-stage epochs, validation at epoch 5):
-  the final parameter vector lam, the metrics rows, the final chain cache,
-  and the validation NLL in full, and on a second line the final Adam
-  state (moments m and v, and the step count);
+* for the `linear` and `categorical-20x10` presets, each built with a
+  float64 and with a float32 lam, the benchmark training protocol (1 000
+  surrogate training rows and 100 validation rows, seed 0, m=50, K=2, 3
+  warm-up plus 2 cache-stage epochs, validation at epoch 5): the final
+  parameter vector lam, the metrics rows, the final chain cache, and the
+  validation NLL in full, and on a second line the final Adam state
+  (moments m and v, and the step count);
 * the bytes of the surrogate corpus, data.surrogate_images(1000, 100,
   seed=0) and (100, 2000, seed=0), which moves if any Bernoulli draw of
   the teacher model flips;
-* the initial parameter vector lam of every preset at seed 0;
+* the initial parameter vector lam of every preset at seed 0, in float64
+  and in float32;
 * the verdicts and details of checks.run_oracle_suite at seeds 0 and 1;
 * metrics.csv of `jsa train --surrogate --arch linear --limit-train 300
   --limit-valid 100 --limit-test 100 --test-samples 50 --total-epochs 4
@@ -46,7 +48,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
+import numpy as np  # noqa: E402
+
 from jsalearn import checks, cli, data, jsa, models  # noqa: E402
+
+DTYPES = (np.float64, np.float32)
 
 CLI_ARGS = ["train", "--surrogate", "--arch", "linear", "--limit-train", "300",
             "--limit-valid", "100", "--limit-test", "100", "--test-samples",
@@ -61,9 +67,9 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def training_protocol(preset):
+def training_protocol(preset, dtype):
     train, valid = data.surrogate_images(1000, 100, seed=0)
-    pair = models.build_architecture(preset, seed=0)
+    pair = models.build_architecture(preset, seed=0, dtype=dtype)
     config = jsa.JsaConfig(particle_number=2, minibatch_size=50,
                            total_epochs=5, stage1_epochs=3, seed=0)
     result = jsa.train(pair, train, config, valid=valid, timing=False)
@@ -84,8 +90,8 @@ def surrogate_corpus():
     return digest(*(d.items for d in splits))
 
 
-def initial_lams():
-    return digest(*(models.build_architecture(name, seed=0).lam
+def initial_lams(dtype):
+    return digest(*(models.build_architecture(name, seed=0, dtype=dtype).lam
                     for name in models.PRESET_NAMES))
 
 
@@ -104,13 +110,17 @@ def cli_metrics():
 
 
 def main():
-    for preset in ("linear", "categorical-20x10"):
-        d = training_protocol(preset)
-        print(f"{preset}: lam {d['lam']}  metrics {d['metrics']}  "
-              f"cache {d['cache']}  valid NLL {d['valid_nll']}")
-        print(f"{preset}: adam {d['adam']}  step {d['adam_step']}")
-    print(f"surrogate corpus {surrogate_corpus()}  "
-          f"initial lam of {', '.join(models.PRESET_NAMES)} {initial_lams()}")
+    for dtype in DTYPES:
+        name = np.dtype(dtype).name
+        for preset in ("linear", "categorical-20x10"):
+            d = training_protocol(preset, dtype)
+            print(f"{preset} {name}: lam {d['lam']}  metrics {d['metrics']}  "
+                  f"cache {d['cache']}  valid NLL {d['valid_nll']}")
+            print(f"{preset} {name}: adam {d['adam']}  step {d['adam_step']}")
+    print(f"surrogate corpus {surrogate_corpus()}")
+    for dtype in DTYPES:
+        print(f"initial lam of {', '.join(models.PRESET_NAMES)} "
+              f"{np.dtype(dtype).name}: {initial_lams(dtype)}")
     for seed in (0, 1):
         d, ok = oracle(seed)
         print(f"oracle seed {seed}: verdicts {d}  "

@@ -4,7 +4,9 @@ These power the CLI self-test command and the acceptance test-suite. Every
 check draws its models from a seeded generator, so a given seed always
 produces the same verdicts. Checks compare the production code paths
 (analytic gradients, samplers, estimators) against independent oracles
-(finite differences, exact enumeration), never against themselves.
+(finite differences, exact enumeration), never against themselves. Every
+model they build is float64, as finite differences and exact enumeration
+need.
 """
 
 from __future__ import annotations
@@ -23,32 +25,34 @@ TINY_FAMILIES = ("linear", "nonlinear", "two-layers", "categorical",
 
 
 def tiny_pair(family: str, rng, scale: float = 0.8) -> ModelPair:
-    """A small random model of the given architecture family: same layer
-    structure as the full-size preset, desk-scale widths, normal parameters."""
+    """A small random float64 model of the given architecture family: same
+    layer structure as the full-size preset, desk-scale widths, normal
+    parameters."""
     def r(lo, hi):
         return int(rng.integers(lo, hi + 1))
 
     if family == "linear":
         obs, lat = r(3, 6), r(2, 4)
         arch = f"enc: {obs}-{lat}s~B{lat}; dec: B{lat}-{obs}s"
-        pair = build_architecture(arch)
+        pair = build_architecture(arch, dtype=np.float64)
     elif family == "nonlinear":
         obs, h1, h2, lat = r(3, 6), r(3, 5), r(3, 5), r(2, 4)
         arch = (f"enc: {obs}-{h1}l-{h2}l-{lat}s~B{lat}; "
                 f"dec: B{lat}-{h2}l-{h1}l-{obs}s")
-        pair = build_architecture(arch)
+        pair = build_architecture(arch, dtype=np.float64)
     elif family == "two-layers":
         obs, l0, l1 = r(3, 6), r(2, 4), r(2, 3)
         arch = (f"enc: {obs}-{l0}s~B{l0}-{l1}s~B{l1}; "
                 f"dec: B{l1}-{l0}s~B{l0}-{obs}s")
-        pair = build_architecture(arch)
+        pair = build_architecture(arch, dtype=np.float64)
     elif family == "categorical":
         obs, h1, nv, nc = r(3, 6), r(3, 5), r(2, 3), r(2, 3)
         arch = (f"enc: {obs}-{h1}l-{nv * nc}~C{nv}x{nc}; "
                 f"dec: C{nv}x{nc}-{h1}l-{obs}s")
-        pair = build_architecture(arch)
+        pair = build_architecture(arch, dtype=np.float64)
     elif family == "structured":
-        pair = build_conditional(r(3, 5), r(2, 4), r(2, 4), [r(3, 5)])
+        pair = build_conditional(r(3, 5), r(2, 4), r(2, 4), [r(3, 5)],
+                                 dtype=np.float64)
     else:
         raise ValueError(f"unknown family '{family}'")
     pair.lam[:] = rng.normal(scale=scale, size=pair.lam.size)
@@ -141,7 +145,7 @@ def check_preset_gradient_spot(seed=0, n_coords=40, tol=1e-4) -> CheckResult:
     worst = 0.0
     for name in ("linear", "nonlinear", "two-layers", "categorical-20x10",
                  "structured-50"):
-        pair = build_architecture(name, seed=seed)
+        pair = build_architecture(name, seed=seed, dtype=np.float64)
         pair.lam[:] = rng.normal(scale=0.05, size=pair.lam.size)
         x, c = random_obs(pair, rng)
         h = random_latents(pair, rng)
@@ -353,7 +357,7 @@ def check_estimator_consistency(seed=0, n_models=10, n_samples=10_000,
     # q == posterior by construction: zero decoder/encoder weights make x
     # and h independent, so the posterior is the prior; pointing the
     # encoder bias at the prior logits reproduces it bit-for-bit.
-    pair = build_architecture("enc: 5-3s~B3; dec: B3-5s")
+    pair = build_architecture("enc: 5-3s~B3; dec: B3-5s", dtype=np.float64)
     pair.lam[:] = 0.0
     pair.gen.prior_logits[:] = rng.normal(scale=1.0, size=3)
     pair.gen.decoder_nets[0].layers[0].b[:] = rng.normal(scale=1.0, size=5)
@@ -403,7 +407,7 @@ def exact_ml_fit(gen, items, iters=1500, lr=0.05, support=None) -> float:
     n, S = items.shape[0], support.size
     X_all = np.repeat(items, S, axis=0)
     H_all = [np.tile(lay, (n, 1)) for lay in support.layers]
-    adam = AdamState.for_size(gen.n_params, lr=lr)
+    adam = AdamState.for_size(gen.n_params, lr=lr, dtype=gen.params.dtype)
     for _ in range(iters):
         lj = gen.log_joint(X_all, H_all).reshape(n, S)
         post = np.exp(lj - ev.logsumexp(lj, axis=1, keepdims=True))

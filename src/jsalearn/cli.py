@@ -236,9 +236,10 @@ def cmd_variance(args) -> int:
     if args.batch > len(train.items):
         raise ConfigError(f"--batch {args.batch} exceeds the "
                           f"{len(train.items)} rows of the training split")
-    batch = [(i, train.items[i],
-              None if train.contexts is None else train.contexts[i])
-             for i in range(args.batch)]
+    n = args.batch
+    batch = (np.arange(n), train.items[:n].astype(pair.dtype),
+             None if train.contexts is None
+             else train.contexts[:n].astype(pair.dtype))
     cfg = jsa.JsaConfig(particle_number=args.particles,
                         minibatch_size=args.batch)
 

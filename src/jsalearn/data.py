@@ -175,7 +175,8 @@ def split_halves(dataset: Dataset) -> Dataset:
 
 def synthetic_dataset(arch: str, n: int, seed: int = 0,
                       param_scale: float = 1.0):
-    """Samples an IID corpus from a freshly drawn tiny model ("teacher").
+    """Samples an IID corpus from a freshly drawn tiny float64 model
+    ("teacher").
 
     Returns (Dataset, teacher ModelPair); the teacher is retained so tests
     can compare recovered parameters/likelihoods against the ground truth.
@@ -185,7 +186,7 @@ def synthetic_dataset(arch: str, n: int, seed: int = 0,
     from .evaluation import enumerate_support
     from .models import build_architecture
 
-    teacher = build_architecture(arch, seed=seed)
+    teacher = build_architecture(arch, seed=None, dtype=np.float64)
     if teacher.gen.obs_width > 16:
         raise CapabilityError("synthetic corpora are capped at width-16 "
                               "observations")
@@ -203,13 +204,13 @@ def surrogate_images(n_train: int, n_valid: int = 1000, seed: int = 0,
     """A stand-in corpus of 784-pixel binary images for environments without
     the real digit files: IID samples from a fixed randomly-parameterized
     784-from-200 generative model, so pixels carry latent structure worth
-    learning. Deterministic for a given seed.
+    learning. Deterministic for a given seed (the teacher is float64).
 
     Returns (train, valid) Datasets.
     """
     from .models import build_architecture
 
-    teacher = build_architecture("linear", seed=seed)
+    teacher = build_architecture("linear", seed=None, dtype=np.float64)
     rng = np.random.default_rng(seed)
     teacher.lam[:] = rng.normal(scale=param_scale, size=teacher.lam.size)
     x, _ = teacher.gen.sample_joint(rng, n=n_train + n_valid)

@@ -12,6 +12,10 @@ size at 100 or 1 000 samples alike. Each block draws its latent layers one
 after another; for a model with one stochastic layer that is the same
 random stream at any block size, but a deeper model such as `two-layers`
 interleaves its draws by block, so its estimate depends on the block size.
+Each block of x (and c) is cast to the dtype of the pair's lam as it is
+sliced, so a float32 pair scores in float32; the log-weights are summed
+over datapoints in float64, and the enumeration oracles are meant for
+float64 pairs.
 """
 
 from __future__ import annotations
@@ -207,7 +211,8 @@ def dataset_nll(pair, items, contexts=None, n_samples=100, rng=None,
     block's decoder arrays stay cache-sized whatever n_samples is; an
     explicit block overrides it. With one stochastic layer the estimate
     does not depend on the block size; with more, such as `two-layers`,
-    it does, because each block draws its layers in turn.
+    it does, because each block draws its layers in turn. Each block is
+    scored in lam's dtype, and the result is a float64 mean.
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
@@ -220,12 +225,14 @@ def dataset_nll(pair, items, contexts=None, n_samples=100, rng=None,
         raise ShapeError("dataset_nll needs at least one datapoint")
     if block is None:
         block = max(1, EVAL_ROWS // n_samples)
+    dtype = pair.dtype
     total = 0.0
     for start in range(0, n, block):
         stop = min(start + block, n)
-        C = None if contexts is None else contexts[start:stop]
-        _, logw = importance_sample(pair, items[start:stop], C, rng,
-                                    n_samples=n_samples)
+        X = items[start:stop].astype(dtype, copy=False)
+        C = (None if contexts is None
+             else contexts[start:stop].astype(dtype, copy=False))
+        _, logw = importance_sample(pair, X, C, rng, n_samples=n_samples)
         total += float(-log_mean_exp(logw.reshape(stop - start,
                                                   n_samples)).sum())
     return total / n
@@ -290,6 +297,6 @@ def grad_variance(update_fn, batch, reps, rng) -> VarianceReport:
     gt = np.stack(gt)
     gp = np.stack(gp)
     with np.errstate(divide="ignore"):
-        log_t = float(np.log(gt.var(axis=0, ddof=1).sum()))
-        log_p = float(np.log(gp.var(axis=0, ddof=1).sum()))
+        log_t = float(np.log(gt.var(axis=0, ddof=1, dtype=np.float64).sum()))
+        log_p = float(np.log(gp.var(axis=0, ddof=1, dtype=np.float64).sum()))
     return VarianceReport(log_t, log_p, reps)

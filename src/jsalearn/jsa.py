@@ -36,7 +36,8 @@ weighting over fresh proposals (proposals are always "accepted").
 Checkpoints are single-file binary containers: an 8-byte magic header
 followed by a pickled payload holding the architecture string, the flat
 parameter vector, optimizer moments, cached chains, generator state, and
-the epoch counter. The cache is stored as {"layers": [...], "seen": ...}.
+the epoch counter. Arrays keep their dtype, lam's, and a restored pair is
+built in it. The cache is stored as {"layers": [...], "seen": ...}.
 """
 
 from __future__ import annotations
@@ -112,11 +113,11 @@ def mis_moves(logw_cur, logw_prop, rng, accept_rule=None):
 
 class LatentCache:
     """Persistent chain states, one row per dataset index: a dense
-    (n, width) float64 array per latent layer plus a boolean mask of the
-    rows that hold a state."""
+    (n, width) array per latent layer, in the dtype of the model pair's lam
+    (train passes it), plus a boolean mask of the rows that hold a state."""
 
-    def __init__(self, n: int = 0, widths=()):
-        self.layers = [np.zeros((n, w)) for w in widths]
+    def __init__(self, n: int = 0, widths=(), dtype=np.float64):
+        self.layers = [np.zeros((n, w), dtype=dtype) for w in widths]
         self.seen = np.zeros(n, dtype=bool)
 
     def __len__(self):
@@ -139,9 +140,9 @@ class LatentCache:
 
     @classmethod
     def from_state(cls, state):
+        """The cache a state_dict saved, each layer in its stored dtype."""
         cache = cls()
-        cache.layers = [np.array(lay, dtype=np.float64)
-                        for lay in state["layers"]]
+        cache.layers = [np.array(lay) for lay in state["layers"]]
         cache.seen = np.array(state["seen"], dtype=bool)
         return cache
 
@@ -199,19 +200,6 @@ class GradEstimate:
     nll_proxy: float = float("nan")
 
 
-def _stack_batch(pair, batch):
-    if not batch:
-        raise ShapeError("empty minibatch")
-    idxs = [int(b[0]) for b in batch]
-    X = np.stack([np.asarray(b[1], dtype=np.float64) for b in batch])
-    C = None
-    if pair.context_width:
-        if any(len(b) < 3 or b[2] is None for b in batch):
-            raise ShapeError("conditional model needs a context per datapoint")
-        C = np.stack([np.asarray(b[2], dtype=np.float64) for b in batch])
-    return idxs, X, C
-
-
 def _split_out(pair, out):
     """The theta and phi blocks of a lam-sized gradient buffer, or
     (None, None) without one."""
@@ -229,18 +217,20 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
                          accept_rule=None, out=None) -> GradEstimate:
     """One JSA minibatch update (gradient estimate only; no parameter step).
 
-    batch is a list of (dataset_index, x, context-or-None). With use_cache
-    the per-index chains start from (and, unless update_cache is off, are
-    written back to) the cache; an index seen for the first time starts from
-    a fresh accepted proposal; an index outside the cache's rows raises
+    batch is (idx, X, C): the m dataset indices, the (m, obs_width)
+    observations and the (m, context_width) contexts or None, X and C in
+    lam's dtype (as train slices them). With use_cache the per-index
+    chains start from (and, unless update_cache is off, are written back
+    to) the cache; an index seen for the first time starts from a fresh
+    accepted proposal; an index outside the cache's rows raises
     ShapeError. Without use_cache every visit starts fresh and the cache is
     untouched. out, a lam-sized buffer, receives the gradient (theta block
     then phi block), and the estimate's g_theta and g_phi are views of it;
     without out they are fresh arrays.
     """
-    idxs, X, C = _stack_batch(pair, batch)
+    idx, X, C = batch
     out_theta, out_phi = _split_out(pair, out)
-    m = len(idxs)
+    m = X.shape[0]
     K = config.particle_number
 
     # K proposals per datapoint, rows ordered (j, k) -> j*K + k. The proposal
@@ -256,11 +246,11 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
         H0, logq_0, qa_0 = pair.inf.sample_q(X, C, rng=rng, acts=qa_p,
                                              return_acts=True)
     else:
-        for i in (min(idxs), max(idxs)):
+        for i in (np.min(idx), np.max(idx)):
             if not 0 <= i < cache.seen.size:
                 raise ShapeError(f"dataset index {i} outside the chain "
                                  f"cache's {cache.seen.size} rows")
-        H0, seen = cache.get(idxs)
+        H0, seen = cache.get(idx)
         if not seen.all():
             fresh = ~seen
             Hf = pair.inf.sample_q(X[fresh], None if C is None else C[fresh],
@@ -282,14 +272,14 @@ def jsa_minibatch_update(pair: ModelPair, cache: LatentCache, batch,
     # Average both gradients over all m*K visited post-move states,
     # back-propagating the activations stored when they were scored.
     Hsel = [hk[rows.ravel()] for hk in H]
-    w = np.full(m * K, 1.0 / (m * K))
+    w = np.full(m * K, 1.0 / (m * K), dtype=pair.dtype)
     g_theta = pair.gen.grad_log_joint(X, Hsel, C, weights=w,
                                       acts=pa.take(rows), out=out_theta)
     g_phi = pair.inf.grad_log_q(Hsel, X, C, weights=w,
                                 acts=qa_0.join(qa_p).take(rows), out=out_phi)
 
     if use_cache and update_cache:
-        cache.put(idxs, [hk[rows[:, -1]] for hk in H])
+        cache.put(idx, [hk[rows[:, -1]] for hk in H])
 
     nll_proxy = float(np.mean(-evaluation.log_mean_exp(logw[:, 1:])))
     return GradEstimate(g_theta, g_phi, accepted, m * K, nll_proxy)
@@ -300,19 +290,19 @@ def rws_minibatch_update(pair: ModelPair, batch, n_particles: int,
     """Baseline update: self-normalized importance weighting over fresh
     proposals from q. Both gradients use the same normalized weights (the
     inference side is the wake-phase update), and every proposal counts as
-    accepted. out is used as in jsa_minibatch_update."""
+    accepted. batch and out are as in jsa_minibatch_update."""
     if n_particles < 1:
         raise ConfigError("n_particles must be at least 1")
-    idxs, X, C = _stack_batch(pair, batch)
+    _, X, C = batch
     out_theta, out_phi = _split_out(pair, out)
-    m = len(idxs)
+    m = X.shape[0]
     P = n_particles
     Hp, logq, qa = pair.inf.sample_q(X, C, rng=rng, n_samples=P,
                                      return_acts=True)
     logp, pa = pair.gen.log_joint(X, Hp, C, return_acts=True)
     logw = (logp - logq).reshape(m, P)
     wn = np.exp(logw - evaluation.logsumexp(logw, axis=1, keepdims=True))
-    w = wn.reshape(-1) / m
+    w = (wn.reshape(-1) / m).astype(pair.dtype, copy=False)
     g_theta = pair.gen.grad_log_joint(X, Hp, C, weights=w, acts=pa,
                                       out=out_theta)
     g_phi = pair.inf.grad_log_q(Hp, X, C, weights=w, acts=qa, out=out_phi)
@@ -397,6 +387,9 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
     over the concatenated parameter vector.
 
     dataset/valid are data.Dataset objects or bare (n, obs_width) arrays.
+    The run computes in the dtype of pair.lam: each minibatch of x and c is
+    cast to it as it is sliced, and the step buffer, the Adam moments and
+    the chain cache are made in it.
     Validation NLL is estimated every eval_every epochs with an identical
     sample stream each time, so values are comparable across epochs; the
     parameters with the lowest validation NLL are retained in best_lam.
@@ -425,9 +418,10 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
         raise ShapeError("empty training set")
 
     rng = np.random.default_rng(config.seed)
-    adam = AdamState.for_size(pair.lam.size, lr=config.lr)
+    dtype = pair.dtype
+    adam = AdamState.for_size(pair.lam.size, lr=config.lr, dtype=dtype)
     widths = [spec.width for spec in pair.layer_specs]
-    result = TrainResult(cache=LatentCache(n, widths), adam=adam)
+    result = TrainResult(cache=LatentCache(n, widths, dtype), adam=adam)
     last_good = _LastGood(pair, adam)
     # Each update writes its gradient (the ascent direction) here.
     step = np.empty_like(pair.lam)
@@ -441,9 +435,9 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
         try:
             for startrow in range(0, n, config.minibatch_size):
                 sel = perm[startrow:startrow + config.minibatch_size]
-                batch = [(int(i), items[i],
-                          None if contexts is None else contexts[i])
-                         for i in sel]
+                batch = (sel, items[sel].astype(dtype, copy=False),
+                         None if contexts is None
+                         else contexts[sel].astype(dtype, copy=False))
                 if algorithm == "jsa":
                     est = jsa_minibatch_update(pair, result.cache, batch,
                                                config, rng,
@@ -543,8 +537,10 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_pair(payload) -> ModelPair:
-    """Rebuilds the model pair stored in a checkpoint payload."""
-    pair = build_architecture(payload["arch"], seed=0)
+    """Rebuilds the model pair stored in a checkpoint payload, in the dtype
+    of the stored lam."""
+    pair = build_architecture(payload["arch"], seed=None,
+                              dtype=payload["lam"].dtype)
     pair.set_lam(payload["lam"])
     return pair
 

@@ -33,6 +33,10 @@ Conventions used throughout:
   parameters ``theta`` are the leading block and the inference parameters
   ``phi`` the trailing block, each a live view. Optimizer updates applied to
   ``lam`` are immediately visible inside every layer.
+* lam's dtype (float32 by default, float64 for the exact oracles) is the
+  dtype of every array the models make: activations, log-masses, sampled
+  latents and gradients. Callers pass x and c in that dtype; other input
+  still works, but numpy then computes in the promoted type.
 
 Architecture strings are either a preset name (``linear``, ``nonlinear``,
 ``two-layers``, ``categorical-20x10``, ``structured-50``) or an explicit
@@ -57,6 +61,7 @@ the factor's logits, and ``StochasticLayerSpec`` applies the link.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +77,10 @@ from .ndnet import (
     group_softmax,
     sigmoid,
 )
+
+
+# Uniforms a Bernoulli draw holds at once (StochasticLayerSpec.sample).
+DRAW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -132,18 +141,33 @@ class StochasticLayerSpec:
         d *= weights
         return d
 
-    def sample(self, probs, rng):
-        if self.kind == "bernoulli":
-            u = rng.random(np.shape(probs))
-            return np.less(u, probs, out=u)
+    def sample(self, probs, rng, out=None):
+        """A draw at probs, as 0/1 values of probs' dtype, written into out
+        (a contiguous array of probs' shape, which may be probs itself) or a
+        new array.
+
+        A Bernoulli draw reads its uniforms DRAW_CHUNK at a time (whole
+        leading-axis slices) into one small buffer, so no probs-sized
+        array of uniforms exists; the doubles and their order are those of
+        one rng.random(probs.shape) call."""
         shape = np.shape(probs)
-        p = np.broadcast_to(probs, shape).reshape(
-            shape[:-1] + (self.n_vars, self.n_categories))
-        u = rng.random(shape[:-1] + (self.n_vars, 1))
-        idx = (u > np.cumsum(p, axis=-1)).sum(axis=-1)
+        if out is None:
+            out = np.empty(shape, dtype=probs.dtype)
+        if self.kind == "bernoulli":
+            step = max(1, DRAW_CHUNK // math.prod(shape[1:]))
+            u = np.empty((min(step, shape[0]),) + shape[1:])
+            for lo in range(0, shape[0], step):
+                hi = min(lo + step, shape[0])
+                np.less(rng.random(out=u[:hi - lo]), probs[lo:hi],
+                        out=out[lo:hi])
+            return out
+        groups = shape[:-1] + (self.n_vars, self.n_categories)
+        p = np.broadcast_to(probs, shape).reshape(groups)
+        u = rng.random(groups[:-1] + (1,))
+        idx = (u > np.cumsum(p, axis=-1)).sum(axis=-1, keepdims=True)
         idx = np.minimum(idx, self.n_categories - 1)
-        onehot = np.eye(self.n_categories)[idx]
-        return onehot.reshape(shape)
+        np.equal(idx, np.arange(self.n_categories), out=out.reshape(groups))
+        return out
 
     def check_domain(self, values):
         if not (((values == 0.0) | (values == 1.0)).all()):
@@ -338,8 +362,9 @@ class _FactorChain:
         self._check(x, h, c)
         x2, h2, c2, group = _batch(x, h, c)
         m, n = x2.shape[0], h2[0].shape[0]
-        w = (np.ones(n) if weights is None
-             else np.asarray(weights, dtype=np.float64))
+        dtype = self.params.dtype
+        w = (np.ones(n, dtype=dtype) if weights is None
+             else np.asarray(weights, dtype=dtype))
         if w.shape != (n,):
             raise ShapeError(f"weights shape {w.shape}, expected ({n},)")
         if acts is None:
@@ -348,7 +373,7 @@ class _FactorChain:
             raise ShapeError(f"activations hold {acts.group} rows per "
                              f"datapoint, h holds {group}")
         w = w.reshape(m, group, 1)
-        g = grad_buffer(out, self.n_params)
+        g = grad_buffer(out, self.n_params, dtype)
         passes = [acts.data] + acts.nets
         for i, ((spec, net, params), a, t) in enumerate(
                 zip(self._factors, self._logits(acts), self._targets(x2, h2))):
@@ -369,13 +394,19 @@ class _FactorChain:
         in factor order and the record of the pass: with keep, every
         activation (for a gradient); with score alone, each net's logits
         (for the log-mass); with neither, no net pass, and each net's
-        probabilities overwrite its logits. keep implies score."""
+        probabilities overwrite its logits. keep implies score.
+
+        Each draw overwrites the probabilities it was drawn at, except
+        where they are a broadcast view: a free prior's, or factor 0's net
+        output when a datapoint has several rows."""
         assert score or not keep
         rec = Activations(data, [], group)
         spec = self._factors[0][0]
-        probs = np.broadcast_to(_view(spec.probs(self._logits(rec)[0]), m),
-                                (m, group, spec.width))
-        targets = [spec.sample(probs, rng).reshape(m * group, spec.width)]
+        first = _view(spec.probs(self._logits(rec)[0]), m)
+        own = first.ndim == 3 and group == 1
+        probs = np.broadcast_to(first, (m, group, spec.width))
+        targets = [spec.sample(probs, rng, out=first if own else None
+                               ).reshape(m * group, spec.width)]
         for i, (spec, net, _) in enumerate(self._factors[1:], 1):
             acts = _kept(net.forward(
                 self._net_input(i, targets[-1], c2, group)), keep)
@@ -384,7 +415,7 @@ class _FactorChain:
                 probs = spec.probs(acts[-1])
             else:
                 probs = spec.probs(acts[-1], out=acts[-1])
-            targets.append(spec.sample(probs, rng))
+            targets.append(spec.sample(probs, rng, out=probs))
         return targets, rec
 
 
@@ -440,8 +471,8 @@ class GenerativeModel(_FactorChain):
         in log_joint. acts is the record log_joint returned for exactly
         these rows (Activations.take selects rows of it); without it the
         forward pass is recomputed. The gradient is written into out (a
-        contiguous float64 (n_params,) buffer, every entry overwritten) and
-        returned; without out it is a fresh array.
+        contiguous (n_params,) buffer of lam's dtype, every entry
+        overwritten) and returned; without out it is a fresh array.
         """
         return self._grad(x, h, c, weights, acts, out)
 
@@ -501,8 +532,8 @@ class InferenceModel(_FactorChain):
         record log_q or sample_q returned for exactly these rows
         (Activations.take selects rows of it); without it the forward pass
         is recomputed. The gradient is written into out (a contiguous
-        float64 (n_params,) buffer, every entry overwritten) and returned;
-        without out it is a fresh array."""
+        (n_params,) buffer of lam's dtype, every entry overwritten) and
+        returned; without out it is a fresh array."""
         return self._grad(x, h, c, weights, acts, out)
 
     def sample_q(self, x, c=None, rng=None, return_log_q=False, *,
@@ -556,8 +587,13 @@ class ModelPair:
     def context_width(self):
         return self.gen.context_width
 
+    @property
+    def dtype(self):
+        return self.lam.dtype
+
     def set_lam(self, values):
-        values = np.asarray(values, dtype=np.float64)
+        """Copies values into lam, cast to lam's dtype."""
+        values = np.asarray(values, dtype=self.lam.dtype)
         if values.shape != self.lam.shape:
             raise ShapeError(f"lam shape {values.shape}, expected {self.lam.shape}")
         self.lam[:] = values
@@ -765,9 +801,10 @@ def _parse_arch(text: str):
 
 
 def _assemble(arch, obs_width, layer_specs, enc_layer_lists, dec_layer_lists,
-              seed, prior_layer_list=None, context_width=0):
-    """Allocates the shared lam vector, binds all nets into it, and
-    initializes parameters with one seeded generator."""
+              seed, dtype, prior_layer_list=None, context_width=0):
+    """Allocates the shared lam vector in dtype, binds all nets into it, and
+    initializes parameters with one seeded generator (float64 draws, each
+    rounded to dtype); with seed None, lam stays zero."""
     top = layer_specs[-1]
     n_prior = (sum(l.n_params for l in prior_layer_list)
                if prior_layer_list is not None else top.width)
@@ -775,8 +812,8 @@ def _assemble(arch, obs_width, layer_specs, enc_layer_lists, dec_layer_lists,
     n_enc = [sum(l.n_params for l in lst) for lst in enc_layer_lists]
     n_theta = n_prior + sum(n_dec)
     n_phi = sum(n_enc)
-    lam = np.zeros(n_theta + n_phi)
-    rng = np.random.default_rng(seed)
+    lam = np.zeros(n_theta + n_phi, dtype=dtype)
+    rng = None if seed is None else np.random.default_rng(seed)
 
     off = 0
     prior_net = None
@@ -804,9 +841,10 @@ def _assemble(arch, obs_width, layer_specs, enc_layer_lists, dec_layer_lists,
 
 
 def build_conditional(obs_width, context_width, latent_width, hidden_widths,
-                      seed=0, arch=None):
+                      seed=0, arch=None, dtype=np.float32):
     """Conditional single-layer Bernoulli model: the prior net reads the
-    context, the decoder reads [h, c], the encoder reads [c, x]."""
+    context, the decoder reads [h, c], the encoder reads [c, x]. lam has
+    the given dtype; seed is as in build_architecture."""
     def mlp(in_dim, out_dim):
         layers = []
         cur = in_dim
@@ -822,20 +860,25 @@ def build_conditional(obs_width, context_width, latent_width, hidden_widths,
     enc = [mlp(context_width + obs_width, latent_width)]
     label = arch or (f"conditional({obs_width},{context_width},{latent_width},"
                      f"{list(hidden_widths)})")
-    return _assemble(label, obs_width, specs, enc, dec, seed,
+    return _assemble(label, obs_width, specs, enc, dec, seed, dtype,
                      prior_layer_list=prior, context_width=context_width)
 
 
-def build_architecture(spec_string: str, seed: int = 0) -> ModelPair:
-    """Builds a ModelPair from a preset name or an explicit grammar string.
+def build_architecture(spec_string: str, seed: int | None = 0,
+                       dtype=np.float32) -> ModelPair:
+    """Builds a ModelPair from a preset name or an explicit grammar string,
+    with lam in dtype: float32 for training and evaluation, float64 for the
+    exact and finite-difference oracles.
 
-    The same seed always produces bit-identical initial parameters.
+    The same seed always produces bit-identical initial parameters, and
+    the float32 ones are the float64 ones rounded. seed None draws none
+    and leaves lam zero, for callers that overwrite it at once.
     """
     name = spec_string.strip()
     if name == "structured-50":
         return build_conditional(392, 392, 50, [200, 200], seed=seed,
-                                 arch="structured-50")
+                                 arch="structured-50", dtype=dtype)
     text = PRESETS.get(name, name)
     obs_width, layer_specs, enc_lists, dec_lists = _parse_arch(text)
     return _assemble(name if name in PRESETS else text, obs_width, layer_specs,
-                     enc_lists, dec_lists, seed)
+                     enc_lists, dec_lists, seed, dtype)

@@ -7,11 +7,16 @@ efficient ordering). One step is one walk over cache-sized blocks of the
 flat vectors, and it returns the new parameters' sum of squares, taken
 during that walk, so the caller's divergence test costs no further pass.
 
-Everything is float64. A net's parameters live in one flat vector; each layer
-holds reshaped views into it, so in-place updates on the flat vector are
-immediately visible to every layer (and vice versa). Nets can also be bound
-into a larger caller-owned buffer, which is how a model pair keeps all its
+A net's parameters live in one flat vector; each layer holds reshaped
+views into it, so in-place updates on the flat vector are immediately
+visible to every layer (and vice versa). Nets can also be bound into a
+larger caller-owned buffer, which is how a model pair keeps all its
 parameters in a single optimizer-ready vector.
+
+The parameter vector's dtype is the dtype of everything computed from it:
+a net fed input of that dtype keeps it in every activation, gradient,
+Adam moment and scratch buffer. Model pairs train in float32; the
+finite-difference oracle and the pairs it checks are float64.
 
 Gradients follow the same layout. LayeredNet.backward writes a net's flat
 parameter gradient into a caller-owned slice when given one (out=), so a
@@ -23,6 +28,7 @@ gradient with respect to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +36,8 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, StateError
 
-# The universal numeric carrier: float64 numpy arrays.
+# The numeric carrier: numpy arrays in the dtype of the parameters that
+# produce them (float32 or float64).
 DenseArray = np.ndarray
 
 # Hidden Sigmoid layers clamp their outputs into [PROB_CLAMP, 1-PROB_CLAMP],
@@ -42,13 +49,22 @@ PROB_CLAMP = 1e-7
 DEFAULT_LEAKY_SLOPE = 0.01
 
 
+@functools.lru_cache(maxsize=None)
+def exp_floor(dtype) -> float:
+    """The whole number below which exp(-a) overflows in dtype: -709 for
+    float64, -88 for float32."""
+    return -float(math.floor(math.log(np.finfo(dtype).max)))
+
+
 def sigmoid(a: DenseArray, out: DenseArray | None = None) -> DenseArray:
     """Elementwise logistic function 1 / (1 + exp(-a)), in one new array, or
     in out (which may be a itself).
 
-    a is floored at -709, where exp(-a) is just below overflow, so no input
-    warns: a far below -709 gives about 1e-308 instead of 0. NaN stays NaN."""
-    out = np.maximum(a, -709.0, out=out)
+    a is floored at exp_floor(a.dtype) (-709 for float64, -88 for float32),
+    where exp(-a) is just below overflow, so no input warns: a far below
+    the floor gives about 1e-308 (float32: 6e-39) instead of 0. NaN stays
+    NaN."""
+    out = np.maximum(a, exp_floor(a.dtype), out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -155,7 +171,8 @@ class LeakyReLU:
         return np.where(x > 0, x, self.slope * x)
 
     def backward(self, x_in, x_out, grad_out, param_grad) -> DenseArray:
-        return grad_out * np.where(x_in > 0, 1.0, self.slope)
+        # No mask of Python floats: np.where would make it float64.
+        return np.where(x_in > 0, grad_out, self.slope * grad_out)
 
 
 class Tanh:
@@ -255,10 +272,10 @@ class LayeredNet:
                  out: DenseArray | None = None) -> DenseArray:
         """Flat parameter gradient, written into out and returned.
 
-        out is a caller-owned (n_params,) contiguous float64 buffer (such as
-        a slice of a model pair's step vector), every entry of which is
-        overwritten; without it a fresh array is returned. The gradient
-        w.r.t. the net's input is never computed.
+        out is a caller-owned (n_params,) contiguous buffer of the
+        parameters' dtype (such as a slice of a model pair's step vector),
+        every entry of which is overwritten; without it a fresh array is
+        returned. The gradient w.r.t. the net's input is never computed.
         """
         if len(activations) != len(self.layers) + 1:
             raise StateError(
@@ -268,7 +285,7 @@ class LayeredNet:
             raise ShapeError(
                 f"grad_output shape {grad_output.shape} does not match "
                 f"output shape {activations[-1].shape}")
-        out = grad_buffer(out, self.n_params)
+        out = grad_buffer(out, self.n_params, self.params.dtype)
         g = grad_output
         for i in range(len(self.layers) - 1, 0, -1):
             g = self.layers[i].backward(
@@ -278,17 +295,17 @@ class LayeredNet:
         return out
 
 
-def grad_buffer(out: DenseArray | None, n: int) -> DenseArray:
-    """out checked as a gradient destination of n entries, or a fresh
-    uninitialized one when out is None. Every writer overwrites all n
-    entries, so no zero fill is needed."""
+def grad_buffer(out: DenseArray | None, n: int, dtype) -> DenseArray:
+    """out checked as a gradient destination of n entries of dtype (the
+    parameters' dtype), or a fresh uninitialized one when out is None.
+    Every writer overwrites all n entries, so no zero fill is needed."""
     if out is None:
-        return np.empty(n)
-    if (out.shape != (n,) or out.dtype != np.float64
+        return np.empty(n, dtype=dtype)
+    if (out.shape != (n,) or out.dtype != dtype
             or not out.flags.c_contiguous):
         raise ShapeError(
             f"gradient buffer has shape {out.shape} and dtype {out.dtype}, "
-            f"need contiguous float64 ({n},)")
+            f"need contiguous {np.dtype(dtype)} ({n},)")
     return out
 
 
@@ -305,9 +322,10 @@ class AdamState:
     v are the moments of the descent gradient g = -d, exactly as a
     minimizing Adam fed g would hold them.
 
-    adam_step works in block-sized scratch buffers (two float, one bool),
-    made on first use and kept here; they carry nothing from one step to
-    the next and are not part of the optimizer state a checkpoint saves.
+    m and v share the parameters' dtype. adam_step works in block-sized
+    scratch buffers (two of that dtype, one bool), made on first use and
+    kept here; they carry nothing from one step to the next and are not
+    part of the optimizer state a checkpoint saves.
     """
 
     m: DenseArray
@@ -320,8 +338,10 @@ class AdamState:
     scratch: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
-    def for_size(cls, n: int, lr: float, **kw) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), lr=lr, **kw)
+    def for_size(cls, n: int, lr: float, dtype=np.float64,
+                 **kw) -> "AdamState":
+        return cls(m=np.zeros(n, dtype=dtype), v=np.zeros(n, dtype=dtype),
+                   lr=lr, **kw)
 
 
 def adam_step(params: DenseArray, ascent: DenseArray,
@@ -349,15 +369,24 @@ def adam_step(params: DenseArray, ascent: DenseArray,
     written, so params, m, v and step are then unchanged. One dot product
     screens for that; only when it is not finite (a NaN or infinite entry,
     or finite entries whose squares overflow) is every entry tested.
+
+    params, ascent, m and v must share one dtype (a float32 step fed a
+    float64 array would compute in float64); the step and the sum of
+    squares are taken in that dtype.
     """
     if (params.ndim != 1 or params.shape != ascent.shape
             or params.shape != state.m.shape):
         raise ShapeError(
             f"params {params.shape}, ascent {ascent.shape}, state "
             f"{state.m.shape} must all agree and be flat")
+    if not params.dtype == ascent.dtype == state.m.dtype == state.v.dtype:
+        raise ShapeError(
+            f"params {params.dtype}, ascent {ascent.dtype}, state "
+            f"{state.m.dtype}/{state.v.dtype} must share one dtype")
     size = min(params.size, ADAM_BLOCK)
     if not state.scratch or state.scratch[0].size < size:
-        state.scratch = (np.empty(size), np.empty(size),
+        state.scratch = (np.empty(size, dtype=params.dtype),
+                         np.empty(size, dtype=params.dtype),
                          np.empty(size, dtype=bool))
     with np.errstate(over="ignore"):
         screened = math.isfinite(float(ascent @ ascent))

@@ -260,7 +260,7 @@ def test_criterion_10_gradient_noise_report():
                         total_epochs=30, stage1_epochs=30, lr=3e-3, seed=2)
     jsa.train(pair, ds, cfg, timing=False)   # a shared mid-training point
 
-    batch = [(i, ds.items[i], None) for i in range(20)]
+    batch = (np.arange(20), ds.items[:20].astype(pair.dtype), None)
 
     def jsa_probe(b, rng):
         return jsa.jsa_minibatch_update(pair, jsa.LatentCache(), b, cfg, rng,

@@ -221,7 +221,7 @@ class TestEstimators:
     def test_dataset_nll_same_at_every_block_size(self):
         # One stochastic layer: the random stream does not depend on how
         # the datapoints are blocked.
-        pair = build_architecture("linear", seed=4)
+        pair = build_architecture("linear", seed=4, dtype=np.float64)
         _, valid = data.surrogate_images(1, 7, seed=4)
         X = valid.items
         values = [ev.dataset_nll(pair, X, n_samples=100, block=block,

@@ -10,11 +10,11 @@ import pytest
 from scipy.special import logsumexp
 
 from jsalearn import evaluation as ev
-from jsalearn import jsa, ndnet
-from jsalearn.data import synthetic_dataset
+from jsalearn import jsa, models, ndnet
+from jsalearn.data import Dataset, synthetic_dataset
 from jsalearn.errors import ConfigError, FormatError, ShapeError
 from jsalearn.jsa import JsaConfig, LatentCache
-from jsalearn.models import build_architecture
+from jsalearn.models import build_architecture, build_conditional
 
 ARCH = "enc: 5-3s~B3; dec: B3-5s"
 
@@ -24,6 +24,13 @@ def tiny(seed=0, scale=0.8, arch=ARCH):
     rng = np.random.default_rng(seed)
     pair.lam[:] = rng.normal(scale=scale, size=pair.lam.size)
     return pair, rng
+
+
+def as_batch(X, C=None):
+    """A minibatch of the rows of X (a 1D x is one row), with dataset
+    indices 0 ... m-1."""
+    X = np.atleast_2d(X)
+    return np.arange(X.shape[0]), X, C
 
 
 def always(delta, rng):
@@ -172,9 +179,7 @@ def reference_update(pair, cache, batch, config, rng, *, use_cache,
     """The minibatch update with every net run on every row: x repeated K
     times, start states scored in their own calls, and both gradients
     recomputing the forward pass on the chosen rows from plain arrays."""
-    idxs = [int(b[0]) for b in batch]
-    X = np.stack([b[1] for b in batch])
-    C = np.stack([b[2] for b in batch]) if pair.context_width else None
+    idxs, X, C = batch
     m, K = len(idxs), config.particle_number
     Xr = np.repeat(X, K, axis=0)
     Cr = None if C is None else np.repeat(C, K, axis=0)
@@ -249,8 +254,8 @@ class TestScoreOnceParity:
                                    None if C is None else C[seeded], rng=data)
         for cache in caches:
             cache.put(seeded, states)
-        idx = [4, 0, 6, 2, 1, 8][:m]
-        batch = [(i, X[i], None if C is None else C[i]) for i in idx]
+        idx = np.array([4, 0, 6, 2, 1, 8][:m])
+        batch = (idx, X[idx], None if C is None else C[idx])
         cfg = JsaConfig(particle_number=K)
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(2):  # the second round starts from updated caches
@@ -274,9 +279,8 @@ class TestScoreOnceParity:
         data = np.random.default_rng(3)
         X = (data.random((4, 6)) < 0.5).astype(float)
         C = (data.random((4, 4)) < 0.5).astype(float)
-        est = jsa.rws_minibatch_update(
-            pair, [(i, X[i], C[i]) for i in range(4)], 3,
-            np.random.default_rng(5))
+        est = jsa.rws_minibatch_update(pair, as_batch(X, C), 3,
+                                       np.random.default_rng(5))
         rng = np.random.default_rng(5)
         Xr, Cr = np.repeat(X, 3, axis=0), np.repeat(C, 3, axis=0)
         h, logw = ev.importance_sample(pair, Xr, Cr, rng)
@@ -297,7 +301,7 @@ class TestMisStep:
         x = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
         cache = LatentCache(1, [3])
         cache.put([0], [np.array([[0.0, 1.0, 0.0]])])
-        est = jsa.jsa_minibatch_update(pair, cache, [(0, x, None)],
+        est = jsa.jsa_minibatch_update(pair, cache, as_batch(x),
                                        JsaConfig(particle_number=1), rng,
                                        use_cache=True, accept_rule=never)
         assert est.accept_count == 0
@@ -313,7 +317,7 @@ class TestMisStep:
         n = 20000
         cache = LatentCache(n, [3])
         cache.put(np.arange(n), [np.tile(h, (n, 1)) for h in sup.config(i0)])
-        jsa.jsa_minibatch_update(pair, cache, [(i, x, None) for i in range(n)],
+        jsa.jsa_minibatch_update(pair, cache, as_batch(np.tile(x, (n, 1))),
                                  JsaConfig(particle_number=1), rng,
                                  use_cache=True)
         (H,), _ = cache.get(np.arange(n))
@@ -354,14 +358,14 @@ class TestLatentCache:
 class TestMinibatchUpdate:
     def batch(self, pair, rng, m=4):
         X = (rng.random((m, pair.gen.obs_width)) < 0.5).astype(float)
-        return [(j, X[j], None) for j in range(m)]
+        return as_batch(X)
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_index_outside_cache_rejected(self, bad):
         pair, rng = tiny(22)
         cache = LatentCache(4, [3])
         b = self.batch(pair, rng, m=2)
-        b[1] = (bad, b[1][1], None)
+        b[0][1] = bad
         with pytest.raises(ShapeError, match=f"index {bad} "):
             jsa.jsa_minibatch_update(pair, cache, b, JsaConfig(), rng,
                                      use_cache=True)
@@ -393,7 +397,7 @@ class TestMinibatchUpdate:
         cache = LatentCache(3, [3])
         b = self.batch(pair, rng, m=3)
         starts = []
-        for j, x, _ in b:
+        for j in b[0]:
             h = [np.array(v, dtype=float) for v in
                  [(rng.random(3) < 0.5).astype(float)]]
             cache.put(j, h)
@@ -404,7 +408,7 @@ class TestMinibatchUpdate:
         assert est.accept_count == 0
         assert est.proposal_count == 3 * 4
         manual = np.zeros(pair.n_theta)
-        for (j, x, _), h in zip(b, starts):
+        for x, h in zip(b[1], starts):
             manual += pair.gen.grad_log_joint(x, h) / 3
         assert np.allclose(est.g_theta, manual, atol=1e-10)
 
@@ -445,7 +449,7 @@ class TestMinibatchUpdate:
         for r in range(reps):
             cache = LatentCache(1, [3])
             cache.put(0, sup.config(int(rng.choice(sup.size, p=post))))
-            est = jsa.jsa_minibatch_update(pair, cache, [(0, x, None)], cfg,
+            est = jsa.jsa_minibatch_update(pair, cache, as_batch(x), cfg,
                                            rng, use_cache=True,
                                            update_cache=False)
             grads[r] = est.g_theta
@@ -466,7 +470,7 @@ class TestMinibatchUpdate:
                                             JsaConfig(), r, use_cache=False,
                                             out=out)
 
-        out = np.full(pair.lam.size, np.nan)
+        out = np.full(pair.lam.size, np.nan, dtype=pair.dtype)
         est = update(out, 5)
         assert np.isfinite(out).all()
         assert np.shares_memory(est.g_theta, out[:pair.n_theta])
@@ -484,7 +488,7 @@ class TestMinibatchUpdate:
         cfg = JsaConfig()
         with pytest.raises(Exception):
             jsa.jsa_minibatch_update(pair, LatentCache(),
-                                     [(0, np.zeros(4), None)], cfg,
+                                     as_batch(np.zeros(4)), cfg,
                                      np.random.default_rng(0),
                                      use_cache=False)
 
@@ -493,8 +497,7 @@ class TestRws:
     def test_counts_all_proposals_as_accepted(self):
         pair, rng = tiny(11)
         X = (rng.random((3, 5)) < 0.5).astype(float)
-        b = [(j, X[j], None) for j in range(3)]
-        est = jsa.rws_minibatch_update(pair, b, 4, rng)
+        est = jsa.rws_minibatch_update(pair, as_batch(X), 4, rng)
         assert est.accept_count == est.proposal_count == 12
 
     def test_single_particle_phi_gradient_has_zero_mean(self):
@@ -505,7 +508,7 @@ class TestRws:
         reps = 2500
         grads = np.empty((reps, pair.n_phi))
         for r in range(reps):
-            est = jsa.rws_minibatch_update(pair, [(0, x, None)], 1, rng)
+            est = jsa.rws_minibatch_update(pair, as_batch(x), 1, rng)
             grads[r] = est.g_phi
         se = grads.std(axis=0, ddof=1) / np.sqrt(reps)
         z = np.abs(grads.mean(axis=0)) / np.maximum(se, 1e-12)
@@ -515,13 +518,13 @@ class TestRws:
         pair, rng = tiny(13, scale=0.5)
         x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         exact = -ev.exact_log_likelihood(pair.gen, x)
-        est = jsa.rws_minibatch_update(pair, [(0, x, None)], 20000, rng)
+        est = jsa.rws_minibatch_update(pair, as_batch(x), 20000, rng)
         assert est.nll_proxy == pytest.approx(exact, abs=0.05)
 
     def test_rejects_zero_particles(self):
         pair, rng = tiny(14)
         with pytest.raises(ConfigError):
-            jsa.rws_minibatch_update(pair, [(0, np.zeros(5), None)], 0, rng)
+            jsa.rws_minibatch_update(pair, as_batch(np.zeros(5)), 0, rng)
 
 
 class TestConfig:
@@ -761,8 +764,8 @@ class TestCheckpoint:
         pair, rng = tiny(15)
         cache = LatentCache(4, [3])
         cache.put(3, [np.array([1.0, 0.0, 1.0])])
-        adam = jsa.AdamState.for_size(pair.lam.size, lr=2e-3)
-        jsa.adam_step(pair.lam.copy(), np.ones(pair.lam.size), adam)
+        adam = jsa.AdamState.for_size(pair.lam.size, lr=2e-3, dtype=pair.dtype)
+        jsa.adam_step(pair.lam.copy(), np.ones_like(pair.lam), adam)
         adam.m[:] = rng.normal(size=adam.m.size)
         adam.step = 17
         path = tmp_path / "model.ckpt"
@@ -785,6 +788,27 @@ class TestCheckpoint:
         h = [np.array([0.0, 1.0, 1.0])]
         assert back.gen.log_joint(x, h) == \
             pytest.approx(pair.gen.log_joint(x, h), abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_keeps_dtype(self, tmp_path, dtype):
+        pair = build_architecture(ARCH, seed=2, dtype=dtype)
+        rng = np.random.default_rng(2)
+        pair.set_lam(rng.normal(size=pair.lam.size))
+        adam = jsa.AdamState.for_size(pair.lam.size, lr=1e-3, dtype=dtype)
+        jsa.adam_step(pair.lam, rng.normal(size=pair.lam.size).astype(dtype),
+                      adam)
+        cache = LatentCache(5, [3], dtype)
+        cache.put([0, 4], [np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])])
+        path = tmp_path / "run.ckpt"
+        jsa.save_checkpoint(path, pair, adam=adam, cache=cache)
+        payload = jsa.load_checkpoint(path)
+        back = jsa.restore_pair(payload)
+        adam2 = jsa.restore_adam(payload)
+        cache2 = LatentCache.from_state(payload["cache"])
+        for a, b in [(back.lam, pair.lam), (adam2.m, adam.m),
+                     (adam2.v, adam.v), *zip(cache2.layers, cache.layers)]:
+            assert a.dtype == dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(cache2.seen, cache.seen)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
                                                      monkeypatch):
@@ -831,7 +855,77 @@ class TestChainDriver:
         pair, rng = tiny(17, scale=0.5)
         x = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
         cfg = JsaConfig(particle_number=500)
-        est = jsa.jsa_minibatch_update(pair, LatentCache(), [(0, x, None)],
+        est = jsa.jsa_minibatch_update(pair, LatentCache(), as_batch(x),
                                        cfg, rng, use_cache=False)
         exact = -ev.exact_log_likelihood(pair.gen, x)
         assert est.nll_proxy == pytest.approx(exact, abs=0.3)
+
+
+def float_dtypes(obj, found):
+    """Adds the dtype of every floating array in obj (arrays, and lists,
+    tuples, dicts and activation records of them) to found."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            found.add(obj.dtype)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            float_dtypes(item, found)
+    elif isinstance(obj, dict):
+        float_dtypes(list(obj.values()), found)
+    elif isinstance(obj, models.Activations):
+        float_dtypes([obj.data, obj.nets], found)
+
+
+# Every layer pass, link, log-mass, draw, model call, cache access and
+# Adam step of a run; their arguments and results are what the run computes.
+WATCHED = [
+    *[(cls, name) for cls in (ndnet.Linear, ndnet.LeakyReLU, ndnet.Tanh,
+                              ndnet.Sigmoid)
+      for name in ("forward", "backward")],
+    *[(models.StochasticLayerSpec, name)
+      for name in ("probs", "log_mass", "logit_grad", "sample")],
+    *[(models.GenerativeModel, name)
+      for name in ("log_joint", "grad_log_joint")],
+    *[(models.InferenceModel, name)
+      for name in ("log_q", "grad_log_q", "sample_q")],
+    (LatentCache, "get"), (LatentCache, "put"), (jsa, "adam_step"),
+]
+
+
+class TestFloat32:
+    """A float32 pair trains and evaluates in float32: no array of its run
+    is promoted to float64, although the dataset is float64."""
+
+    @pytest.mark.parametrize("algorithm", ["jsa", "rws"])
+    @pytest.mark.parametrize("make", [
+        lambda: build_architecture("enc: 12-8l-6~C2x3; dec: C2x3-8t-12s"),
+        lambda: build_architecture(
+            "enc: 12-8s-4s~B4-3s~B3; dec: B3-4s~B4-8s-12s"),
+        lambda: build_conditional(12, 6, 4, [5]),
+    ], ids=["leaky-tanh-categorical", "hidden-sigmoid-two-layers",
+            "conditional"])
+    def test_no_array_is_promoted(self, make, algorithm, monkeypatch):
+        pair = make()
+        rng = np.random.default_rng(0)
+        n = 30
+        items = (rng.random((n, pair.gen.obs_width)) < 0.5).astype(float)
+        ctx = None
+        if pair.context_width:
+            ctx = (rng.random((n, pair.context_width)) < 0.5).astype(float)
+        data = Dataset(items, ctx)
+        found = set()
+        for owner, name in WATCHED:
+            def watched(*args, _fn=getattr(owner, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                float_dtypes([args, kwargs, out], found)
+                return out
+            monkeypatch.setattr(owner, name, watched)
+        cfg = JsaConfig(minibatch_size=10, total_epochs=2, stage1_epochs=1,
+                        eval_every=2, val_samples=7, seed=1)
+        res = jsa.train(pair, data, cfg, valid=data, algorithm=algorithm,
+                        timing=False)
+        assert found == {np.dtype(np.float32)}
+        kept = [pair.lam, res.best_lam, res.adam.m, res.adam.v,
+                *res.adam.scratch[:2], *res.cache.layers]
+        assert {a.dtype for a in kept} == {np.dtype(np.float32)}
+        assert res.metrics[-1][1] == "valid"

@@ -1,5 +1,7 @@
 """Architecture grammar, joint/inference models, and their gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from jsalearn import evaluation as ev
 from jsalearn.errors import ArchParseError, DomainError, ShapeError
 from jsalearn.models import (
+    DRAW_CHUNK,
+    PRESET_NAMES,
     PRESETS,
     StochasticLayerSpec,
     build_architecture,
@@ -99,14 +103,14 @@ class TestGrammar:
 
 class TestTrivialValues:
     def test_width_one_uniform_log_joint(self):
-        pair = build_architecture("enc: 1-1s~B1; dec: B1-1s")
+        pair = build_architecture("enc: 1-1s~B1; dec: B1-1s", dtype=np.float64)
         pair.lam[:] = 0.0
         lj = pair.gen.log_joint(np.array([1.0]), [np.array([1.0])])
         # p(h) = p(x|h) = 1/2
         assert lj == pytest.approx(np.log(0.25), abs=1e-12)
 
     def test_categorical_uniform_prior_term(self):
-        pair = build_architecture("categorical-20x10")
+        pair = build_architecture("categorical-20x10", dtype=np.float64)
         pair.lam[:] = 0.0
         x = np.zeros(784)
         h = [np.zeros((20 * 10,))]
@@ -257,6 +261,46 @@ class TestLayerSpec:
         se = np.sqrt(probs * (1 - probs) / 20000)
         assert np.all(np.abs(freq - probs) <= 3 * se + 1e-9)
 
+    @pytest.mark.parametrize("rows", [1, 7, 3 * DRAW_CHUNK // 200 + 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bernoulli_draw_reads_one_block_of_uniforms(self, rows, dtype):
+        # Drawn into a new array, into the probabilities themselves, or at
+        # a broadcast view, the chunked draw compares the doubles of one
+        # rng.random(shape) call in order, and leaves the generator where
+        # that call does.
+        spec = StochasticLayerSpec.bernoulli(100)
+        probs = np.random.default_rng(1).random((rows, 2, 100)).astype(dtype)
+        wide = np.broadcast_to(probs[:, :1], probs.shape)
+        for p, inplace in ((probs, False), (probs.copy(), True),
+                           (wide, False)):
+            ref_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+            ref = (ref_rng.random(p.shape) < p).astype(dtype)
+            v = spec.sample(p, rng, out=p if inplace else None)
+            assert v.dtype == dtype and np.array_equal(v, ref)
+            assert (v is p) == inplace
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_bernoulli_draw_in_place_holds_no_uniform_array(self):
+        spec = StochasticLayerSpec.bernoulli(784)
+        probs = np.random.default_rng(0).random((2000, 784))
+        tracemalloc.start()
+        try:
+            spec.sample(probs, np.random.default_rng(1), out=probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes / 20
+        assert set(np.unique(probs)) <= {0.0, 1.0}
+
+    def test_categorical_draw_in_place_matches_a_new_array(self):
+        spec = StochasticLayerSpec.categorical(4, 5)
+        probs = np.random.default_rng(0).dirichlet(np.ones(5), size=(6, 4))
+        probs = probs.reshape(6, 20).astype(np.float32)
+        fresh = spec.sample(probs, np.random.default_rng(3))
+        again = probs.copy()
+        assert spec.sample(again, np.random.default_rng(3), out=again) is again
+        assert fresh.dtype == np.float32 and np.array_equal(fresh, again)
+
 
 class TestNormalization:
     @given(seed=st.integers(0, 200))
@@ -271,7 +315,7 @@ class TestNormalization:
 
     def test_joint_sums_to_one_over_x_and_h(self):
         rng = np.random.default_rng(5)
-        pair = build_architecture("enc: 3-4s~B4; dec: B4-3s")
+        pair = build_architecture("enc: 3-4s~B4; dec: B4-3s", dtype=np.float64)
         pair.lam[:] = rng.normal(size=pair.lam.size)
         support = ev.enumerate_support(pair.gen)
         total = 0.0
@@ -358,7 +402,7 @@ class TestGradients:
     ])
     def test_joint_gradient_matches_finite_diff(self, arch):
         rng = np.random.default_rng(hash(arch) % 2**31)
-        pair = build_architecture(arch)
+        pair = build_architecture(arch, dtype=np.float64)
         pair.lam[:] = rng.normal(scale=0.8, size=pair.lam.size)
         x = (rng.random(5) < 0.5).astype(float)
         h = []
@@ -379,7 +423,7 @@ class TestGradients:
 
     def test_conditional_gradients_match_finite_diff(self):
         rng = np.random.default_rng(17)
-        pair = build_conditional(4, 3, 3, [4])
+        pair = build_conditional(4, 3, 3, [4], dtype=np.float64)
         pair.lam[:] = rng.normal(scale=0.8, size=pair.lam.size)
         x = (rng.random(4) < 0.5).astype(float)
         c = (rng.random(3) < 0.5).astype(float)
@@ -398,7 +442,7 @@ class TestGradients:
         equals an np.logaddexp reference, and its gradient matches central
         differences (pixels that are off contribute about -1 each)."""
         rng = np.random.default_rng(29)
-        pair = build_architecture("enc: 5-3s~B3; dec: B3-5s")
+        pair = build_architecture("enc: 5-3s~B3; dec: B3-5s", dtype=np.float64)
         pair.lam[:] = rng.normal(scale=0.1, size=pair.lam.size)
         dec = pair.gen.decoder_nets[0].layers[0]
         dec.b[:] = 40.0
@@ -422,12 +466,13 @@ class TestGradients:
 
     @pytest.mark.parametrize("group", [1, 3])
     @pytest.mark.parametrize("make", [
-        lambda: build_architecture("enc: 5-3s~B3; dec: B3-5s", seed=2),
+        lambda: build_architecture("enc: 5-3s~B3; dec: B3-5s", seed=2,
+                                   dtype=np.float64),
         lambda: build_architecture("enc: 5-4l-6~C2x3; dec: C2x3-4l-5s",
-                                   seed=2),
+                                   seed=2, dtype=np.float64),
         lambda: build_architecture("enc: 5-3s~B3-2s~B2; dec: B2-3s~B3-5s",
-                                   seed=2),
-        lambda: build_conditional(5, 3, 3, [4], seed=2),
+                                   seed=2, dtype=np.float64),
+        lambda: build_conditional(5, 3, 3, [4], seed=2, dtype=np.float64),
     ], ids=["bernoulli-prior", "categorical-prior", "two-layers",
             "conditional"])
     def test_weighted_batch_gradient_is_weighted_sum(self, make, group):
@@ -481,7 +526,7 @@ class TestGradients:
 
     def test_fisher_identity_on_one_model(self):
         rng = np.random.default_rng(31)
-        pair = build_architecture("enc: 5-3s~B3; dec: B3-5s")
+        pair = build_architecture("enc: 5-3s~B3; dec: B3-5s", dtype=np.float64)
         pair.lam[:] = rng.normal(size=pair.lam.size)
         x = (rng.random(5) < 0.5).astype(float)
         assert ev.fisher_identity_check(pair.gen, x) < 1e-6
@@ -571,7 +616,7 @@ class TestGradientBuffer:
                           lambda out, net=net, acts=acts, G=G:
                           net.backward(acts, G, out=out)))
         for n, call in calls:
-            out = np.full(n, np.nan)
+            out = np.full(n, np.nan, dtype=pair.dtype)
             assert call(out) is out
             assert np.isfinite(out).all()
             fresh = call(None)
@@ -608,9 +653,60 @@ class TestModelPair:
         pair.lam[:] += 1.0
         assert not np.allclose(snap, pair.lam)
 
+    def test_seed_none_draws_no_parameters(self):
+        for dtype in (np.float32, np.float64):
+            pair = build_architecture("nonlinear", seed=None, dtype=dtype)
+            assert pair.dtype == dtype and not pair.lam.any()
+
     def test_same_seed_same_init(self):
         a = build_architecture("nonlinear", seed=8)
         b = build_architecture("nonlinear", seed=8)
         assert np.array_equal(a.lam, b.lam)
         c = build_architecture("nonlinear", seed=9)
         assert not np.array_equal(a.lam, c.lam)
+
+
+class TestDtypes:
+    """lam's dtype is the dtype of the models' arithmetic: float32 by
+    default, float64 for the exact and finite-difference oracles."""
+
+    # Measured over seeds 0-2 of every preset, the float32 results lie
+    # within 5 float32 epsilons of float64's (relative to the largest
+    # entry); the bound allows 16.
+    TOL = 16 * np.finfo(np.float32).eps
+
+    def test_float32_init_is_the_float64_init_rounded(self):
+        for name in PRESET_NAMES:
+            ref = build_architecture(name, seed=5, dtype=np.float64)
+            pair = build_architecture(name, seed=5)
+            assert pair.dtype == np.float32
+            assert np.array_equal(pair.lam, ref.lam.astype(np.float32))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_float32_agrees_with_float64(self, name):
+        rng = np.random.default_rng(3)
+        p64 = build_architecture(name, seed=3, dtype=np.float64)
+        p64.lam[:] = rng.normal(scale=0.05, size=p64.lam.size)
+        p32 = build_architecture(name, seed=3)
+        p32.set_lam(p64.lam)
+        m, K = 4, 3
+        X = (rng.random((m, p64.gen.obs_width)) < 0.5).astype(np.float64)
+        C = None
+        if p64.context_width:
+            C = (rng.random((m, p64.context_width)) < 0.5).astype(np.float64)
+        H = p64.inf.sample_q(X, C, rng=rng, n_samples=K)
+        w = rng.random(m * K)
+        X32 = X.astype(np.float32)
+        C32 = None if C is None else C.astype(np.float32)
+        H32 = [h.astype(np.float32) for h in H]
+        pairs = [
+            (p32.gen.log_joint(X32, H32, C32), p64.gen.log_joint(X, H, C)),
+            (p32.inf.log_q(H32, X32, C32), p64.inf.log_q(H, X, C)),
+            (p32.gen.grad_log_joint(X32, H32, C32, weights=w),
+             p64.gen.grad_log_joint(X, H, C, weights=w)),
+            (p32.inf.grad_log_q(H32, X32, C32, weights=w),
+             p64.inf.grad_log_q(H, X, C, weights=w)),
+        ]
+        for low, high in pairs:
+            assert low.dtype == np.float32
+            assert ev.rel_deviation(low, high) <= self.TOL

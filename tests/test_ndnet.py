@@ -79,6 +79,16 @@ class TestElementwise:
         ndnet.sigmoid(a)
         np.testing.assert_array_equal(a, [-1.0, 2.0])
 
+    def test_sigmoid_floor_follows_the_dtype(self):
+        assert ndnet.exp_floor(np.dtype(np.float64)) == -709.0
+        assert ndnet.exp_floor(np.dtype(np.float32)) == -88.0
+        a = np.array([-1e4, -100.0, -88.0, 0.0, 100.0], dtype=np.float32)
+        with np.errstate(over="raise"):
+            out = ndnet.sigmoid(a)
+        assert out.dtype == np.float32
+        assert 0.0 < out[0] == out[1] == out[2] < 1e-37
+        assert out[3] == 0.5 and out[4] == 1.0
+
     def test_clamp_bounds(self):
         out = ndnet.clamped_sigmoid(np.array([-100.0, 100.0]))
         np.testing.assert_allclose(out, [1e-7, 1.0 - 1e-7])
@@ -446,6 +456,16 @@ class TestBufferedAdam:
         st_.m, st_.v = np.zeros((2, 2)), np.zeros((2, 2))
         with pytest.raises(ShapeError):
             adam_step(np.zeros((2, 2)), np.zeros((2, 2)), st_)
+
+    def test_dtypes_must_agree_and_are_kept(self):
+        st_ = AdamState.for_size(2, lr=0.1, dtype=np.float32)
+        with pytest.raises(ShapeError, match="dtype"):
+            adam_step(np.zeros(2), np.ones(2), st_)
+        params = np.zeros(2, dtype=np.float32)
+        adam_step(params, np.ones(2, dtype=np.float32), st_)
+        np.testing.assert_allclose(params, [0.1, 0.1], rtol=1e-6)
+        arrays = (params, st_.m, st_.v) + st_.scratch[:2]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
     def test_scratch_reused_and_not_in_compare_or_repr(self):
         st_ = AdamState.for_size(3, lr=0.1)
