@@ -20,6 +20,11 @@ It prints, as 16-hex-digit sha256 prefixes:
 * the initial parameter vector lam of every preset at seed 0, in float64
   and in float32;
 * the verdicts and details of checks.run_oracle_suite at seeds 0 and 1;
+* the sampler: jsa.mis_moves's (pos, accepted) on fixed float32
+  log-weights at m=50, K=2 and on fixed float64 ones at m=1, K=65 536,
+  and jsa.run_mis_chain's occupancy counts for the first certified model
+  of the mis-invariance check at seed 0 (1 000 000 steps), and for a
+  100 000-step chain on it started at its last support state;
 * metrics.csv of `jsa train --surrogate --arch linear --limit-train 300
   --limit-valid 100 --limit-test 100 --test-samples 50 --total-epochs 4
   --stage1-epochs 2 --eval-every 2`.
@@ -50,7 +55,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 import numpy as np  # noqa: E402
 
-from jsalearn import checks, cli, data, jsa, models  # noqa: E402
+from jsalearn import checks, cli, data, evaluation, jsa, models  # noqa: E402
 
 DTYPES = (np.float64, np.float32)
 
@@ -101,6 +106,24 @@ def oracle(seed):
     return digest(repr(verdicts).encode()), all(v[1] for v in verdicts)
 
 
+def sampler():
+    gen = np.random.default_rng(20)
+    moves = []
+    for m, K, dtype in ((50, 2, np.float32), (1, 65_536, np.float64)):
+        logw_cur = gen.normal(size=m).astype(dtype)
+        logw_prop = gen.normal(size=(m, K)).astype(dtype)
+        pos, accepted = jsa.mis_moves(logw_cur, logw_prop,
+                                      np.random.default_rng(3))
+        moves.append(digest(pos, repr(accepted).encode()))
+    rng = np.random.default_rng(0)  # as checks.check_mis_invariance(seed=0)
+    pair, x, c = checks.well_conditioned_pair(rng)
+    support = evaluation.enumerate_support(pair.gen)
+    counts = jsa.run_mis_chain(pair, x, 1_000_000, rng, c=c, support=support)
+    started = jsa.run_mis_chain(pair, x, 100_000, np.random.default_rng(1),
+                                c=c, support=support, start=support.size - 1)
+    return moves, digest(counts), digest(started)
+
+
 def cli_metrics():
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -125,6 +148,9 @@ def main():
         d, ok = oracle(seed)
         print(f"oracle seed {seed}: verdicts {d}  "
               f"{'all pass' if ok else 'SOME FAIL'}")
+    moves, counts, started = sampler()
+    print(f"sampler: mis_moves 50x2 float32 {moves[0]}  1x65536 {moves[1]}  "
+          f"chain counts {counts}  started chain {started}")
     code, d = cli_metrics()
     print(f"jsa {' '.join(CLI_ARGS)}: exit {code}  metrics.csv {d}")
 

@@ -215,11 +215,10 @@ def check_score_identity(seed=0, n_models=3, n_groups=100,
         family = TINY_FAMILIES[int(rng.integers(len(TINY_FAMILIES)))]
         pair = tiny_pair(family, rng)
         x, c = random_obs(pair, rng)
-        X = np.broadcast_to(x, (group_size, x.size))
-        C = None if c is None else np.broadcast_to(c, (group_size, c.size))
+        X, C = ev.one_datapoint(x, c)
         means = []
         for _ in range(n_groups):
-            h = pair.inf.sample_q(X, C, rng=rng)
+            h = pair.inf.sample_q(X, C, rng=rng, n_samples=group_size)
             means.append(pair.inf.grad_log_q(
                 h, X, C, weights=np.full(group_size, 1.0 / group_size)))
         means = np.stack(means)
@@ -330,9 +329,9 @@ def check_snis_consistency(seed=0, n_models=5, n_particles=20_000,
         post = ev.exact_posterior(pair.gen, x, c, support)
         exact_mean = post @ support.layers[0]
 
-        X = np.broadcast_to(x, (n_particles, x.size))
-        C = None if c is None else np.broadcast_to(c, (n_particles, c.size))
-        h, logw = ev.importance_sample(pair, X, C, rng)
+        X, C = ev.one_datapoint(x, c)
+        h, logw = ev.importance_sample(pair, X, C, rng,
+                                       n_samples=n_particles)
         wn = np.exp(logw - ev.logsumexp(logw))
         snis_mean = wn @ h[0]
         worst = _worst(worst, float(np.abs(snis_mean - exact_mean).max()))

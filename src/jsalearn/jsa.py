@@ -8,9 +8,14 @@ Each datapoint carries its own latent Markov chain. One minibatch update:
    min(1, w(h')/w(h)) where w = p(x,h)/q(h|x). The marginal p(x) cancels in
    the ratio, so only the joint and the proposal mass are ever evaluated.
    mis_moves runs the decisions, here and in the chains of run_mis_chain.
-   Its default rule reads the logs of uniforms drawn in one block per call,
-   the same random stream as one scalar draw per decision; a custom rule
-   is still called once per decision.
+   Its default rule draws the call's uniforms in one block, the same random
+   stream as one scalar draw per decision. A move whose uniform would
+   accept it from any state the chain can hold regenerates the chain
+   (Mykland, Tierney & Yu, JASA 90:233, 1995), so the moves between two
+   regenerations form a stretch that depends on no other; numpy walks the
+   stretches side by side, one decision of each per round, and every
+   decision equals the scalar test log(u) < delta. A custom rule is still
+   called once per decision, in move order, by the scalar loop.
 2. Average grad_theta log p(x,h) and grad_phi log q(h|x) over all m*K
    post-move states. Ascending these couples maximum-likelihood learning of
    theta with inclusive-KL minimization for phi.
@@ -65,48 +70,133 @@ from .ndnet import AdamState, adam_step
 
 CHECKPOINT_MAGIC = b"JSACKPT\x01"
 CHAIN_SLICE = 1 << 16
+# Crossovers of the stretch walk against the scalar loop, measured with
+# normal log-weights on a 2-core x86 host (numpy 2.4, Python 3.11): a numpy
+# round costs about as much as the loop spends on WALK_MIN_LIVE decisions
+# (6-8 us against 0.2 us a decision), and the walk's set-up beats the loop
+# from about WALK_MIN_MOVES decisions (at (200, 2) and (1, 1 000), not at
+# (50, 2) or (1, 400)).
+WALK_MIN_LIVE = 32
+WALK_MIN_MOVES = 512
+# np.log and math.log may differ in the last bit. A comparison of np.log(u)
+# with a delta closer than this, relative to the log, is redone with
+# math.log; a regeneration mark keeps this margin from its threshold.
+LOG_TIE_RTOL = 1e-12
 
 
-def _log_uniforms(rng, n):
-    """math.log of n uniforms drawn in one rng.random block; a uniform of
-    exactly 0 reads as -inf. math.log, not np.log: the two differ in the
-    last bit on some inputs, and each decision must equal the scalar test
-    log(u) < delta."""
-    us = rng.random(n).tolist()
-    if all(us):
-        return list(map(math.log, us))
-    return [math.log(u) if u else -math.inf for u in us]
+def _move_loop(cur, slots, prop, logu, accept_rule=None, rng=None):
+    """The scalar move loop. Decision i moves chain slots[i], whose current
+    log-weight is cur[slots[i]], to the proposal of log-weight prop[i] if
+    accept_rule(delta, rng) holds, or under the default rule if
+    logu[i] < delta. Returns the decisions as a bytearray."""
+    took = bytearray(len(prop))
+    for i, (j, p, lu) in enumerate(zip(slots, prop, logu)):
+        delta = p - cur[j]
+        if accept_rule(delta, rng) if accept_rule else lu < delta:
+            cur[j] = p
+            took[i] = 1
+    return took
+
+
+def _walk_stretches(logw_cur, logw_prop, u):
+    """The default rule's (m, K) decisions for the uniforms u, drawn
+    move-major, walked stretch by stretch (see mis_moves)."""
+    m, K = logw_prop.shape
+    # Chain-major (m, K+1) layouts: column 0 holds a chain's start, column
+    # k+1 its move k. Assigning widens float32 log-weights exactly.
+    E = np.empty((m, K + 1))
+    E[:, 0] = logw_cur
+    E[:, 1:] = logw_prop
+    U = np.ones((m, K + 1))
+    U[:, 1:] = u.reshape(K, m).T
+    with np.errstate(divide="ignore"):
+        LU = np.log(U)
+    # took[j, 0] marks the known start; took[j, k+1] marks move k if it
+    # regenerates. A NaN log-weight makes its chain's max NaN, so only the
+    # chain's zero uniforms mark.
+    took = np.empty((m, K + 1), dtype=bool)
+    took[:, 0] = True
+    np.less(LU[:, 1:] * (1 - LOG_TIE_RTOL), E[:, 1:] - E.max(axis=1)[:, None],
+            out=took[:, 1:])
+    took[:, 1:] |= U[:, 1:] == 0
+    E, LU, U, flat = E.ravel(), LU.ravel(), U.ravel(), took.ravel()
+
+    # A stretch is the run of undecided moves after a mark, up to the next.
+    # Sorted longest first, the stretches live in round r are a prefix.
+    marks = np.flatnonzero(flat)
+    length = np.append(marks[1:], flat.size) - marks - 1
+    order = np.argsort(-length)
+    order = order[:np.count_nonzero(length)]
+    begin, length, state = marks[order] + 1, length[order], E[marks[order]]
+    n_live = (order.size - np.cumsum(np.bincount(length))).tolist()
+
+    r, n = 0, order.size
+    while n >= WALK_MIN_LIVE:
+        b = begin[:n] + r
+        p = E[b]
+        cur = state[:n]
+        delta = p - cur
+        lu = LU[b]
+        acc = lu < delta
+        for i in np.flatnonzero(np.abs(delta - lu) <= LOG_TIE_RTOL * -lu):
+            acc[i] = math.log(U[b[i]]) < delta[i]
+        flat[b] = acc
+        np.copyto(cur, p, where=acc)
+        r += 1
+        n = n_live[r]
+    for b0, b1, s in zip((begin[:n] + r).tolist(),
+                         (begin[:n] + length[:n]).tolist(),
+                         state[:n].tolist()):
+        flat[b0:b1] = np.frombuffer(_move_loop(
+            [s], repeat(0), E[b0:b1].tolist(),
+            map(math.log, U[b0:b1].tolist())), dtype=bool)
+    return took[:, 1:]
 
 
 def mis_moves(logw_cur, logw_prop, rng, accept_rule=None):
     """K sequential independence-sampler moves for each of m chains.
 
     logw_cur (m,) holds the log-weights of the chains' current states and
-    logw_prop (m, K) those of their proposals, in move order. The m*K
-    decisions run in one loop, move-major (all chains' move 0, then move
-    1, ...), so the random stream does not depend on how chains are
-    batched. The default rule accepts with probability min(1, e^delta),
-    always when its uniform is exactly 0; it draws the call's uniforms in
-    one rng.random(m*K) block, the same doubles and the same generator
-    state as one scalar draw per decision. A custom accept_rule(delta, rng)
-    is instead called once per decision, in the same order.
+    logw_prop (m, K) those of their proposals, in move order; deltas are
+    taken in float64 whatever their dtype. Decision i = k*m + j (move k of
+    chain j) is move-major, so the random stream does not depend on how
+    chains are batched. The default rule accepts with probability
+    min(1, e^delta): decision i accepts if math.log(u_i) < delta or
+    u_i == 0, where u = rng.random(m*K) is drawn in one block, the same
+    doubles and the same generator state as one scalar draw per decision.
+    A custom accept_rule(delta, rng) is instead called once per decision,
+    in move-major order, by the scalar loop.
+
+    The default rule walks stretches. Move k of chain j regenerates if its
+    uniform would accept it from any state the chain can hold, that is if
+    log u < p_k - v_j with v_j the largest of the chain's start and
+    proposal log-weights, or if u == 0. fl(p - v) falls as v grows, so one
+    comparison against v_j covers every state; a NaN in v_j marks none.
+    Regeneration moves, and each chain's start, leave the chain at a known
+    state, so the moves between two of them form a stretch that depends on
+    no other. Each numpy round takes one decision in every stretch still
+    live, comparing np.log(u) with delta; the rare comparison within
+    LOG_TIE_RTOL of a tie is redone with math.log, so every decision
+    equals the scalar test. Once fewer than WALK_MIN_LIVE stretches are
+    live, the scalar loop finishes them, and a call of fewer than
+    WALK_MIN_MOVES decisions without a zero uniform runs in the loop
+    alone.
     Returns (pos, accepted): pos[j, k] is the proposal chain j sits at after
     move k, or -1 while it is still at its starting state.
     """
     m, K = logw_prop.shape
-    cur = logw_cur.tolist()
-    prop = logw_prop.T.ravel().tolist()  # decision i = k*m + j
-    logu = repeat(None) if accept_rule else _log_uniforms(rng, m * K)
-    log0 = -math.inf  # a zero uniform accepts even a delta of -inf or NaN
-    took = bytearray(m * K)
-    for i, (j, p, lu) in enumerate(zip(cycle(range(m)), prop, logu)):
-        delta = p - cur[j]
-        if (accept_rule(delta, rng) if accept_rule
-                else lu < delta or lu == log0):
-            cur[j] = p
-            took[i] = 1
+    u = None if accept_rule else rng.random(m * K)
+    if u is not None and (m * K >= WALK_MIN_MOVES or not u.all()):
+        took = _walk_stretches(logw_cur, logw_prop, u)
+    else:
+        # The loop's default test cannot accept a NaN or -inf delta, so
+        # zero uniforms take the walk, which marks them.
+        logu = repeat(None) if accept_rule else map(math.log, u.tolist())
+        took = _move_loop(logw_cur.tolist(), cycle(range(m)),
+                          logw_prop.T.ravel().tolist(), logu, accept_rule,
+                          rng)
+        took = np.frombuffer(took, dtype=bool).reshape(K, m).T
     # A chain sits after move k at the last proposal it accepted, if any.
-    took = np.frombuffer(took, dtype=bool).reshape(K, m).T
     pos = np.maximum.accumulate(np.where(took, np.arange(K), -1), axis=1)
     return pos, int(took.sum())
 
@@ -315,12 +405,17 @@ def run_mis_chain(pair: ModelPair, x, n_steps: int, rng, c=None, support=None,
     """Occupancy counts of a long sampler chain over an enumerable support.
 
     Proposals are tabulated up front (valid because the proposal law ignores
-    the chain state) and fed through mis_moves, the production move loop,
-    CHAIN_SLICE steps at a time so that the Python lists the loop builds
-    stay small at any chain length. Used to verify that the chain's
-    occupancy matches the exact posterior.
+    the chain state) and fed through mis_moves, the production sampler
+    step, CHAIN_SLICE steps at a time so that its working arrays stay small
+    at any chain length. The chain starts at support index start, or at a
+    draw from q without one; a start outside the support raises
+    ShapeError. Used to verify that the chain's occupancy matches the exact
+    posterior.
     """
     support = support or evaluation.enumerate_support(pair.gen)
+    if start is not None and not 0 <= start < support.size:
+        raise ShapeError(f"chain start {start} outside the support's "
+                         f"{support.size} states")
     X, C = evaluation.one_datapoint(x, c)
     logq = pair.inf.log_q(support.layers, X, C)
     logw = pair.gen.log_joint(X, support.layers, C) - logq

@@ -66,10 +66,11 @@ class TestAcceptRule:
 
 
 def reference_moves(logw_cur, logw_prop, rng, accept_rule=None):
-    """The move loop spelled out one (move k, chain j) at a time."""
+    """The move loop spelled out one (move k, chain j) at a time, with
+    deltas taken in float64 whatever the log-weights' dtype."""
     accept = accept_rule or default_accept
     m, K = logw_prop.shape
-    cur = logw_cur.copy()
+    cur = logw_cur.astype(np.float64)
     pos = np.full((m, K), -1)
     here = np.full(m, -1)
     accepted = 0
@@ -99,26 +100,64 @@ class ZeroUniforms:
         return np.zeros(size)
 
 
+class FixedUniforms:
+    """A generator stub that hands out the given uniforms in order, as a
+    block or one at a time."""
+
+    def __init__(self, u):
+        self.u = iter(u)
+
+    def random(self, size=None):
+        if size is None:
+            return next(self.u)
+        return np.array([next(self.u) for _ in range(size)])
+
+
+def log_weights(gen, m, K, family="normal"):
+    """Start (m,) and proposal (m, K) log-weights drawn from gen. Besides
+    normal ones: float32 ones, as training passes; a NaN start in chain 0,
+    which never moves; a start of 8 in chain 0, above every normal
+    proposal; and Student-t ones (2 degrees of freedom), whose largest
+    weight dwarfs the rest. The last three leave long stretches between
+    regeneration moves."""
+    if family == "student-t":
+        return gen.standard_t(2, size=m), gen.standard_t(2, size=(m, K))
+    logw_cur, logw_prop = gen.normal(size=m), gen.normal(size=(m, K))
+    if family == "float32":
+        return logw_cur.astype(np.float32), logw_prop.astype(np.float32)
+    logw_cur[0] = {"normal": logw_cur[0], "nan-start": np.nan,
+                   "dominant": 8.0}[family]
+    return logw_cur, logw_prop
+
+
 def move_loop_cases():
-    """Bit generator x (m, K) x rule. Cases with the default generator
-    (PCG64) at (7, 5) are named by their rule alone."""
+    """Bit generator x (m, K) x rule x log-weight family. Cases with the
+    default generator (PCG64) at (7, 5) are named by their rule alone, and
+    normal log-weights go unnamed."""
     for bitgen in (np.random.PCG64, np.random.MT19937, np.random.Philox,
                    np.random.SFC64):
-        for m, K in ((50, 2), (1, 70000), (7, 5)):
+        for m, K in ((50, 2), (1, 70000), (7, 5), (3, 20000)):
             for rule in (None, never, always):
                 name = getattr(rule, "__name__", "None")
                 if (bitgen, m, K) != (np.random.PCG64, 7, 5):
                     name = f"{bitgen.__name__}-{m}x{K}-{name}"
-                yield pytest.param(bitgen, (m, K), rule, id=name)
+                yield pytest.param(bitgen, (m, K), rule, "normal", id=name)
+    for family, shapes in (
+            ("float32", ((50, 2), (7, 5), (3, 20000), (1, 70000))),
+            ("nan-start", ((50, 2), (3, 20000))),
+            ("dominant", ((3, 20000), (1, 70000))),
+            ("student-t", ((3, 20000), (1, 70000)))):
+        for m, K in shapes:
+            yield pytest.param(np.random.PCG64, (m, K), None, family,
+                               id=f"PCG64-{m}x{K}-None-{family}")
 
 
 class TestMoveLoop:
-    @pytest.mark.parametrize("bitgen,shape,rule", move_loop_cases())
-    def test_matches_reference_loop(self, bitgen, shape, rule):
+    @pytest.mark.parametrize("bitgen,shape,rule,family", move_loop_cases())
+    def test_matches_reference_loop(self, bitgen, shape, rule, family):
         m, K = shape
         gen = np.random.default_rng(20)
-        logw_cur = gen.normal(size=m)
-        logw_prop = gen.normal(size=(m, K))
+        logw_cur, logw_prop = log_weights(gen, m, K, family)
         rng_a = np.random.Generator(bitgen(3))
         rng_b = np.random.Generator(bitgen(3))
         pos, acc = jsa.mis_moves(logw_cur, logw_prop, rng_a, rule)
@@ -139,6 +178,44 @@ class TestMoveLoop:
         pos, acc = jsa.mis_moves(logw_cur, logw_prop, ZeroUniforms())
         assert acc == logw_prop.size
         assert np.array_equal(pos, np.tile(np.arange(3), (4, 1)))
+
+    def test_zero_uniforms_end_stretches(self):
+        # A zero uniform accepts any delta, so it ends a stretch even in a
+        # chain with a NaN start or -inf proposals, where no other move
+        # regenerates.
+        m, K = 3, 400
+        logw_cur, logw_prop = log_weights(np.random.default_rng(21), m, K,
+                                          "nan-start")
+        logw_prop[1, ::7] = -np.inf
+        u = np.random.default_rng(22).random(m * K)
+        u[[0, 5, 9, 300, 301, 302, 900, 1199]] = 0.0
+        pos, acc = jsa.mis_moves(logw_cur, logw_prop, FixedUniforms(u))
+        ref_pos, ref_acc = reference_moves(logw_cur, logw_prop,
+                                           FixedUniforms(u))
+        assert np.array_equal(pos, ref_pos) and acc == ref_acc
+        assert pos[0, 99] == 99  # chain 0's last zero uniform, move 99
+
+    def test_ties_between_logs_follow_math_log(self):
+        # np.log(u) and math.log(u) may differ in the last bit. A delta on
+        # the larger of the two accepts under math.log(u) < delta exactly
+        # when np.log(u) < delta rejects, so each such decision must be
+        # redone. The other chains reject; none regenerates, so a numpy
+        # round takes every decision.
+        m = 4 * jsa.WALK_MIN_MOVES
+        u = np.random.default_rng(3).random(m)
+        lu = np.log(u)
+        ties = [j for j, x in enumerate(u.tolist()) if math.log(x) != lu[j]]
+        if not ties:
+            pytest.skip("np.log and math.log agree on every uniform here")
+        logw_prop = np.full((m, 1), -50.0)
+        for j in ties:
+            logw_prop[j, 0] = max(lu[j], math.log(u[j]))
+        logw_cur = np.zeros(m)
+        pos, acc = jsa.mis_moves(logw_cur, logw_prop, np.random.default_rng(3))
+        ref_pos, ref_acc = reference_moves(logw_cur, logw_prop,
+                                           np.random.default_rng(3))
+        assert np.array_equal(pos, ref_pos) and acc == ref_acc
+        assert acc == sum(math.log(u[j]) < lu[j] for j in ties)
 
     def test_custom_rule_sees_each_decision_once_in_move_order(self):
         calls = []
@@ -849,6 +926,15 @@ class TestChainDriver:
         x = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         counts = jsa.run_mis_chain(pair, x, 5000, rng, start=0)
         assert counts.sum() == 5000
+
+    @pytest.mark.parametrize("start", [-1, 8, 100])
+    def test_start_outside_support_rejected(self, start):
+        pair, rng = tiny(16)  # 3 latent units: 8 support states
+        x = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(ShapeError, match="outside"):
+            jsa.run_mis_chain(pair, x, 10, rng, start=start)
+        counts = jsa.run_mis_chain(pair, x, 10, rng, start=7)
+        assert counts.sum() == 10
 
     def test_nll_proxy_is_importance_estimate(self):
         # against an independent recomputation at K=high on a fixed batch
