@@ -97,7 +97,7 @@ def surrogate_corpus():
 
 def initial_lams(dtype):
     return digest(*(models.build_architecture(name, seed=0, dtype=dtype).lam
-                    for name in models.PRESET_NAMES))
+                    for name in models.PRESETS))
 
 
 def oracle(seed):
@@ -142,7 +142,7 @@ def main():
             print(f"{preset} {name}: adam {d['adam']}  step {d['adam_step']}")
     print(f"surrogate corpus {surrogate_corpus()}")
     for dtype in DTYPES:
-        print(f"initial lam of {', '.join(models.PRESET_NAMES)} "
+        print(f"initial lam of {', '.join(models.PRESETS)} "
               f"{np.dtype(dtype).name}: {initial_lams(dtype)}")
     for seed in (0, 1):
         d, ok = oracle(seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluation as ev
 from . import jsa
-from .models import ModelPair, build_architecture, build_conditional
+from .models import PRESETS, ModelPair, build_architecture
 from .ndnet import AdamState, adam_step, finite_diff_grad
 
 TINY_FAMILIES = ("linear", "nonlinear", "two-layers", "categorical",
@@ -34,27 +34,25 @@ def tiny_pair(family: str, rng, scale: float = 0.8) -> ModelPair:
     if family == "linear":
         obs, lat = r(3, 6), r(2, 4)
         arch = f"enc: {obs}-{lat}s~B{lat}; dec: B{lat}-{obs}s"
-        pair = build_architecture(arch, dtype=np.float64)
     elif family == "nonlinear":
         obs, h1, h2, lat = r(3, 6), r(3, 5), r(3, 5), r(2, 4)
         arch = (f"enc: {obs}-{h1}l-{h2}l-{lat}s~B{lat}; "
                 f"dec: B{lat}-{h2}l-{h1}l-{obs}s")
-        pair = build_architecture(arch, dtype=np.float64)
     elif family == "two-layers":
         obs, l0, l1 = r(3, 6), r(2, 4), r(2, 3)
         arch = (f"enc: {obs}-{l0}s~B{l0}-{l1}s~B{l1}; "
                 f"dec: B{l1}-{l0}s~B{l0}-{obs}s")
-        pair = build_architecture(arch, dtype=np.float64)
     elif family == "categorical":
         obs, h1, nv, nc = r(3, 6), r(3, 5), r(2, 3), r(2, 3)
         arch = (f"enc: {obs}-{h1}l-{nv * nc}~C{nv}x{nc}; "
                 f"dec: C{nv}x{nc}-{h1}l-{obs}s")
-        pair = build_architecture(arch, dtype=np.float64)
     elif family == "structured":
-        pair = build_conditional(r(3, 5), r(2, 4), r(2, 4), [r(3, 5)],
-                                 dtype=np.float64)
+        obs, ctx, lat, h1 = r(3, 5), r(2, 4), r(2, 4), r(3, 5)
+        arch = (f"ctx: {ctx}-{h1}t-{lat}s~B{lat}; "
+                f"enc: {obs}-{h1}t-{lat}s~B{lat}; dec: B{lat}-{h1}t-{obs}s")
     else:
         raise ValueError(f"unknown family '{family}'")
+    pair = build_architecture(arch, seed=None, dtype=np.float64)
     pair.lam[:] = rng.normal(scale=scale, size=pair.lam.size)
     return pair
 
@@ -143,8 +141,7 @@ def check_preset_gradient_spot(seed=0, n_coords=40, tol=1e-4) -> CheckResult:
     full-size preset (full finite differences would take hours there)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name in ("linear", "nonlinear", "two-layers", "categorical-20x10",
-                 "structured-50"):
+    for name in PRESETS:
         pair = build_architecture(name, seed=seed, dtype=np.float64)
         pair.lam[:] = rng.normal(scale=0.05, size=pair.lam.size)
         x, c = random_obs(pair, rng)

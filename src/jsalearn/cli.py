@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, checks, data, evaluation, jsa
 from .errors import ConfigError, FormatError, JsaError
-from .models import PRESET_NAMES, build_architecture
+from .models import PRESETS, build_architecture
 
 TASKS = ("generative-bernoulli", "generative-categorical", "structured")
 
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="run two-stage training")
     t.add_argument("--task", choices=TASKS, default="generative-bernoulli")
     t.add_argument("--arch", default="linear",
-                   help=f"preset ({', '.join(PRESET_NAMES)}) or an "
+                   help=f"preset ({', '.join(PRESETS)}) or an "
                         "architecture string")
     t.add_argument("--algo", choices=("jsa", "rws"), default="jsa")
     t.add_argument("--particles", type=int, default=2)

@@ -38,11 +38,11 @@ Conventions used throughout:
   latents and gradients. Callers pass x and c in that dtype; other input
   still works, but numpy then computes in the promoted type.
 
-Architecture strings are either a preset name (``linear``, ``nonlinear``,
-``two-layers``, ``categorical-20x10``, ``structured-50``) or an explicit
-description in a small grammar::
+Architecture strings are either a preset name (a key of ``PRESETS``) or
+an explicit description in a small grammar::
 
-    arch     := "enc:" enc_chain ";" "dec:" dec_chain
+    arch     := context? "enc:" enc_chain ";" "dec:" dec_chain
+    context  := "ctx:" enc_chain ";"   e.g.  ctx: 392-200t-200t-50s~B50;
     enc_chain:= INT step*              e.g.  784-200s~B200-200s~B200
     dec_chain:= stoch step*            e.g.  B200-200s~B200-784s
     step     := "-" INT act? | "~" stoch
@@ -51,8 +51,13 @@ description in a small grammar::
 
 The encoder chain runs from the observation upward and must end at a
 stochastic layer; the decoder chain runs from the top latent down and must
-end at the observation width with a sigmoid. A Bernoulli layer ``B w`` must
-be fed by a ``w``-wide sigmoid; a categorical layer ``C n x k`` by a plain
+end at the observation width with a sigmoid. A context clause makes the
+model conditional: its chain is the prior net, from the context width up
+to the top latent layer, its one stochastic layer. Encoder net 0 then
+reads [c, x] and decoder net 0 [h[0], c], as in ``structured-50``:
+``ctx: 392-200t-200t-50s~B50; enc: 392-200t-200t-50s~B50;
+dec: B50-200t-200t-392s``. A Bernoulli layer ``B w`` must be fed by a
+``w``-wide sigmoid; a categorical layer ``C n x k`` by a plain
 ``n*k``-wide linear. That last step names the factor's link (sigmoid, or a
 softmax over each of the n groups of k) but adds no layer: every net that
 feeds a stochastic factor ends at its last linear layer, whose outputs are
@@ -62,6 +67,7 @@ the factor's logits, and ``StochasticLayerSpec`` applies the link.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -610,100 +616,74 @@ PRESETS = {
     "nonlinear": "enc: 784-200l-200l-200s~B200; dec: B200-200l-200l-784s",
     "two-layers": "enc: 784-200s~B200-200s~B200; dec: B200-200s~B200-784s",
     "categorical-20x10": "enc: 784-512l-256l-200~C20x10; dec: C20x10-256l-512l-784s",
+    "structured-50": ("ctx: 392-200t-200t-50s~B50; enc: 392-200t-200t-50s~B50; "
+                      "dec: B50-200t-200t-392s"),
 }
-
-PRESET_NAMES = tuple(PRESETS) + ("structured-50",)
 
 _ACT_LAYERS = {"s": Sigmoid, "l": LeakyReLU, "t": Tanh}
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, literal: str):
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise ArchParseError(f"expected '{literal}'", self.pos)
-        self.pos += len(literal)
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ArchParseError("expected an integer", start)
-        value = int(self.text[start:self.pos])
-        if value <= 0:
-            raise ArchParseError("widths must be positive", start)
-        return value
-
-    def read_stoch(self):
-        self.skip_ws()
-        start = self.pos
-        kind = self.peek()
-        if kind == "B":
-            self.take()
-            return StochasticLayerSpec.bernoulli(self.read_int()), start
-        if kind == "C":
-            self.take()
-            n_vars = self.read_int()
-            if self.peek() != "x":
-                raise ArchParseError("expected 'x' in categorical shape", self.pos)
-            self.take()
-            return StochasticLayerSpec.categorical(n_vars, self.read_int()), start
-        raise ArchParseError("expected stochastic layer 'B<w>' or 'C<n>x<k>'",
-                             start)
-
-    def read_act(self) -> str:
-        if self.peek() in _ACT_LAYERS:
-            return self.take()
-        return ""
+# One token: a clause head or ';', a step ('-' width and activation
+# letter), a width, a stochastic layer (after '~' or alone), or any other
+# character.
+_TOKEN = re.compile(r"""\s*(?P<tok>(?P<head>ctx:|enc:|dec:|;)
+    | -\s*(?P<w>\d+)(?P<act>[slt]?)
+    | (?P<int>\d+)
+    | (?P<sep>~?)\s*(?P<stoch>B\s*(?P<b>\d+) | C\s*(?P<n>\d+)x\s*(?P<k>\d+))
+    | .)""", re.X | re.S)
 
 
-def _read_chain(sc: _Scanner, stop: str):
-    """Reads runs of '-INT act' separated by '~stoch' until `stop` or end.
-
-    Returns a list of (run, stoch, stoch_pos) in encounter order; the final
-    entry's stoch is None if the chain ends on a deterministic run. Each run
-    is a list of (width, act, pos).
-    """
-    items = []
-    run = []
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch == "" or ch == stop:
-            break
-        if ch == "-":
-            sc.take()
-            pos = sc.pos
-            width = sc.read_int()
-            run.append((width, sc.read_act(), pos))
-        elif ch == "~":
-            sc.take()
-            spec, pos = sc.read_stoch()
-            items.append((run, spec, pos))
-            run = []
+def _tokens(text):
+    """text's tokens as (kind, value, pos), closed by an "end" token. kind
+    is a head or ';'; "-" for a (width, act) step; "int" for a width;
+    "stoch" or "~" for a StochasticLayerSpec; or "bad", whose value is the
+    error to raise if a parse reaches it."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        zero = [g for g in ("w", "int", "b", "n", "k")
+                if m[g] and not int(m[g])]
+        if zero:
+            toks.append(("bad", "widths must be positive", m.start(zero[0])))
+        elif m["head"]:
+            toks.append((m["head"], None, m.start("tok")))
+        elif m["w"]:
+            toks.append(("-", (int(m["w"]), m["act"]), m.start("w")))
+        elif m["int"]:
+            toks.append(("int", int(m["int"]), m.start("int")))
+        elif m["stoch"]:
+            spec = (StochasticLayerSpec.bernoulli(int(m["b"])) if m["b"] else
+                    StochasticLayerSpec.categorical(int(m["n"]), int(m["k"])))
+            toks.append((m["sep"] or "stoch", spec, m.start("stoch")))
         else:
-            raise ArchParseError(f"unexpected character '{ch}'", sc.pos)
+            toks.append(("bad", f"unexpected character '{m['tok']}'",
+                         m.start("tok")))
+    return toks + [("end", None, len(text))]
+
+
+def _take(toks, i, kind, what):
+    """The value and position of token i, which must be of the given kind."""
+    got, value, pos = toks[i]
+    if got != kind:
+        raise ArchParseError(value if got == "bad" else f"expected {what}", pos)
+    return value, pos
+
+
+def _read_chain(toks, i):
+    """The '-' steps and '~' layers from token i on, and the index of the
+    token after them. They come as (run, stoch, pos) items in order: run is
+    the (width, act, pos) steps that feed the layer stoch at pos; a chain
+    that ends on steps (or has none) ends with stoch None."""
+    items, run = [], []
+    while toks[i][0] in ("-", "~"):
+        kind, value, pos = toks[i]
+        if kind == "-":
+            run.append(value + (pos,))
+        else:
+            items.append((run, value, pos))
+            run = []
+        i += 1
     if run or not items:
-        items.append((run, None, sc.pos))
-    return items
+        items.append((run, None, toks[i][2]))
+    return items, i
 
 
 def _build_net_layers(in_dim: int, run, terminal, pos: int):
@@ -724,46 +704,48 @@ def _build_net_layers(in_dim: int, run, terminal, pos: int):
     last_width, last_act, last_pos = run[-1]
     layers.append(Linear(cur, last_width))
     if terminal is None or terminal.kind == "bernoulli":
-        want = terminal.width if terminal is not None else None
         if last_act != "s":
             raise ArchParseError(
                 "Bernoulli outputs must be produced by a sigmoid layer", last_pos)
-        if want is not None and last_width != want:
-            raise ArchParseError(
-                f"layer width {last_width} does not match B{want}", pos)
+        name = "" if terminal is None else f"B{terminal.width}"
     else:
         if last_act != "":
             raise ArchParseError(
                 "categorical outputs must come from a plain linear layer",
                 last_pos)
-        if last_width != terminal.width:
-            raise ArchParseError(
-                f"layer width {last_width} does not match "
-                f"C{terminal.n_vars}x{terminal.n_categories}", pos)
+        name = f"C{terminal.n_vars}x{terminal.n_categories}"
+    if terminal is not None and last_width != terminal.width:
+        raise ArchParseError(f"layer width {last_width} does not match {name}",
+                             pos)
     return layers
 
 
 def _parse_arch(text: str):
-    """Parses the explicit grammar into (obs_width, layer_specs,
-    enc_layer_lists, dec_layer_lists)."""
-    sc = _Scanner(text)
-    sc.expect("enc:")
-    sc.skip_ws()
-    obs_width = sc.read_int()
-    enc_items = _read_chain(sc, ";")
-    sc.expect(";")
-    sc.expect("dec:")
-    top_spec, top_pos = sc.read_stoch()
-    dec_items = _read_chain(sc, "")
-    sc.skip_ws()
-    if sc.peek() != "":
-        raise ArchParseError("trailing characters after architecture", sc.pos)
+    """Parses the grammar into (obs_width, context_width, layer_specs,
+    prior_layers, enc_layer_lists, dec_layer_lists); prior_layers is None
+    without a ctx: clause."""
+    toks = _tokens(text)
+    clauses, i = {}, 0
+    for head, first, what, close in (
+            ("ctx:", "int", "an integer", ";"),
+            ("enc:", "int", "an integer", ";"),
+            ("dec:", "stoch", "stochastic layer 'B<w>' or 'C<n>x<k>'", "end")):
+        if head == "ctx:" and toks[0][0] != head:
+            continue
+        _take(toks, i, head, f"'{head}'")
+        start = _take(toks, i + 1, first, what)
+        items, i = _read_chain(toks, i + 2)
+        _take(toks, i, close, "';'" if close == ";" else "end of string")
+        clauses[head] = start, items
+        i += 1
 
+    (obs_width, _), enc_items = clauses["enc:"]
     if enc_items[-1][1] is None:
         raise ArchParseError("encoder chain must end at a stochastic layer",
                              enc_items[-1][2])
     layer_specs = [item[1] for item in enc_items]
 
+    (top_spec, top_pos), dec_items = clauses["dec:"]
     dec_stochs = [top_spec] + [item[1] for item in dec_items[:-1]]
     if dec_items[-1][1] is not None:
         raise ArchParseError("decoder chain must end at the observation width",
@@ -773,95 +755,62 @@ def _parse_arch(text: str):
             "decoder latent layers must mirror the encoder's in reverse",
             top_pos)
 
-    # Encoder nets, bottom-up: net k maps h[k-1] (or x) to h[k]'s parameters.
-    enc_layers = []
-    cur = obs_width
-    for run, spec, pos in enc_items:
-        enc_layers.append(_build_net_layers(cur, run, spec, pos))
-        cur = spec.width
+    # The prior net maps the context to the top latent layer's parameters.
+    context_width, prior_layers = 0, None
+    if "ctx:" in clauses:
+        (context_width, _), ctx_items = clauses["ctx:"]
+        run, spec, pos = ctx_items[-1]
+        if spec != layer_specs[-1]:
+            raise ArchParseError(
+                "context chain must end at the top latent layer", pos)
+        if len(ctx_items) > 1:
+            raise ArchParseError(
+                "context chain takes one stochastic layer", ctx_items[0][2])
+        prior_layers = _build_net_layers(context_width, run, spec, pos)
 
-    # Decoder nets: chain entry j maps latent L-1-j downward; re-index so that
-    # dec_layers[k] maps h[k] to h[k-1] (k=0 maps h[0] to x).
-    n_layers = len(layer_specs)
-    dec_layers = [None] * n_layers
-    cur = top_spec.width
-    for j, (run, spec, pos) in enumerate(dec_items):
-        out_spec = spec  # None for the final (observation) run
-        layers = _build_net_layers(cur, run, out_spec, pos)
-        if out_spec is None:
-            if run[-1][0] != obs_width:
-                raise ArchParseError(
-                    f"decoder ends at width {run[-1][0]}, observation is "
-                    f"{obs_width}", run[-1][2])
-            dec_layers[0] = layers
-        else:
-            dec_layers[n_layers - 1 - j] = layers
-            cur = out_spec.width
-    return obs_width, layer_specs, enc_layers, dec_layers
+    # Encoder net k maps h[k-1] (net 0 [c, x]) to h[k]'s parameters.
+    widths = [s.width for s in layer_specs]
+    enc_layers = [_build_net_layers(w, *item) for w, item in
+                  zip([context_width + obs_width] + widths, enc_items)]
+    # Decoder net k maps h[k] (net 0 [h[0], c]) to h[k-1]'s parameters (net
+    # 0 to x's); the chain lists the nets from the top down.
+    widths[0] += context_width
+    dec_layers = [_build_net_layers(w, *item) for w, item in
+                  zip(widths[::-1], dec_items)][::-1]
+    width, _, pos = dec_items[-1][0][-1]
+    if width != obs_width:
+        raise ArchParseError(
+            f"decoder ends at width {width}, observation is {obs_width}", pos)
+    return (obs_width, context_width, layer_specs, prior_layers, enc_layers,
+            dec_layers)
 
 
-def _assemble(arch, obs_width, layer_specs, enc_layer_lists, dec_layer_lists,
-              seed, dtype, prior_layer_list=None, context_width=0):
-    """Allocates the shared lam vector in dtype, binds all nets into it, and
-    initializes parameters with one seeded generator (float64 draws, each
-    rounded to dtype); with seed None, lam stays zero."""
-    top = layer_specs[-1]
-    n_prior = (sum(l.n_params for l in prior_layer_list)
-               if prior_layer_list is not None else top.width)
-    n_dec = [sum(l.n_params for l in lst) for lst in dec_layer_lists]
-    n_enc = [sum(l.n_params for l in lst) for lst in enc_layer_lists]
-    n_theta = n_prior + sum(n_dec)
-    n_phi = sum(n_enc)
-    lam = np.zeros(n_theta + n_phi, dtype=dtype)
+def _assemble(arch, obs_width, context_width, layer_specs, prior_layers,
+              enc_layer_lists, dec_layer_lists, seed, dtype):
+    """Allocates the shared lam vector in dtype and binds every net into it:
+    the prior net (or a free prior's logits, which start at zero), the
+    decoder nets, then the encoder nets. One seeded generator initializes
+    them in that order (float64 draws, each rounded to dtype); with seed
+    None, lam stays zero."""
+    lists = dec_layer_lists + enc_layer_lists
+    n_free = layer_specs[-1].width if prior_layers is None else 0
+    if prior_layers is not None:
+        lists.insert(0, prior_layers)
+    ends = np.cumsum([n_free] + [sum(lay.n_params for lay in lst)
+                                 for lst in lists]).tolist()
+    lam = np.zeros(ends[-1], dtype=dtype)
     rng = None if seed is None else np.random.default_rng(seed)
-
-    off = 0
-    prior_net = None
-    prior_logits = None
-    if prior_layer_list is not None:
-        prior_net = LayeredNet(prior_layer_list, rng=rng, buffer=lam[:n_prior])
-    else:
-        prior_logits = lam[:n_prior]  # learned free logits, start uniform
-    off = n_prior
-    decoder_nets = []
-    for lst, n in zip(dec_layer_lists, n_dec):
-        decoder_nets.append(LayeredNet(lst, rng=rng, buffer=lam[off:off + n]))
-        off += n
-    encoder_nets = []
-    for lst, n in zip(enc_layer_lists, n_enc):
-        encoder_nets.append(LayeredNet(lst, rng=rng, buffer=lam[off:off + n]))
-        off += n
-
-    gen = GenerativeModel(layer_specs, decoder_nets, obs_width,
-                          params=lam[:n_theta], prior_logits=prior_logits,
+    nets = [LayeredNet(lst, rng=rng, buffer=lam[a:b])
+            for lst, a, b in zip(lists, ends, ends[1:])]
+    n_gen = len(lists) - len(enc_layer_lists)
+    prior_net = None if prior_layers is None else nets[0]
+    gen = GenerativeModel(layer_specs, nets[n_gen - len(dec_layer_lists):n_gen],
+                          obs_width, params=lam[:ends[n_gen]],
+                          prior_logits=lam[:n_free] if n_free else None,
                           prior_net=prior_net, context_width=context_width)
-    inf = InferenceModel(layer_specs, encoder_nets, obs_width,
-                         params=lam[n_theta:], context_width=context_width)
+    inf = InferenceModel(layer_specs, nets[n_gen:], obs_width,
+                         params=lam[ends[n_gen]:], context_width=context_width)
     return ModelPair(gen, inf, lam, arch)
-
-
-def build_conditional(obs_width, context_width, latent_width, hidden_widths,
-                      seed=0, arch=None, dtype=np.float32):
-    """Conditional single-layer Bernoulli model: the prior net reads the
-    context, the decoder reads [h, c], the encoder reads [c, x]. lam has
-    the given dtype; seed is as in build_architecture."""
-    def mlp(in_dim, out_dim):
-        layers = []
-        cur = in_dim
-        for w in hidden_widths:
-            layers.extend([Linear(cur, w), Tanh()])
-            cur = w
-        layers.append(Linear(cur, out_dim))
-        return layers
-
-    specs = [StochasticLayerSpec.bernoulli(latent_width)]
-    prior = mlp(context_width, latent_width)
-    dec = [mlp(latent_width + context_width, obs_width)]
-    enc = [mlp(context_width + obs_width, latent_width)]
-    label = arch or (f"conditional({obs_width},{context_width},{latent_width},"
-                     f"{list(hidden_widths)})")
-    return _assemble(label, obs_width, specs, enc, dec, seed, dtype,
-                     prior_layer_list=prior, context_width=context_width)
 
 
 def build_architecture(spec_string: str, seed: int | None = 0,
@@ -875,10 +824,4 @@ def build_architecture(spec_string: str, seed: int | None = 0,
     and leaves lam zero, for callers that overwrite it at once.
     """
     name = spec_string.strip()
-    if name == "structured-50":
-        return build_conditional(392, 392, 50, [200, 200], seed=seed,
-                                 arch="structured-50", dtype=dtype)
-    text = PRESETS.get(name, name)
-    obs_width, layer_specs, enc_lists, dec_lists = _parse_arch(text)
-    return _assemble(name if name in PRESETS else text, obs_width, layer_specs,
-                     enc_lists, dec_lists, seed, dtype)
+    return _assemble(name, *_parse_arch(PRESETS.get(name, name)), seed, dtype)

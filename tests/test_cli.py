@@ -125,6 +125,19 @@ class TestEvalCommand:
         nll = float(msg.strip().rsplit(" ", 1)[1])
         assert np.isfinite(nll)
 
+    def test_conditional_run_evaluates_its_checkpoint(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "cond"
+        arch = "ctx: 392-8t-4s~B4; enc: 392-8t-4s~B4; dec: B4-8t-392s"
+        assert main(train_args(out, task="structured", arch=arch)) == 0
+        capsys.readouterr()
+        code = main(["eval", "--ckpt", str(out / "best.ckpt"), "--surrogate",
+                     "--split", "valid", "--limit", "10",
+                     "--n-samples", "5"])
+        assert code == 0
+        nll = float(capsys.readouterr().out.strip().rsplit(" ", 1)[1])
+        assert np.isfinite(nll)
+
     @pytest.mark.parametrize("flag", ["--n-samples", "--limit"])
     def test_zero_count_rejected(self, tmp_path, capsys, flag):
         ckpt = tmp_path / "init.ckpt"

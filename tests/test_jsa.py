@@ -14,7 +14,7 @@ from jsalearn import jsa, models, ndnet
 from jsalearn.data import Dataset, synthetic_dataset
 from jsalearn.errors import ConfigError, FormatError, ShapeError
 from jsalearn.jsa import JsaConfig, LatentCache
-from jsalearn.models import build_architecture, build_conditional
+from jsalearn.models import build_architecture
 
 ARCH = "enc: 5-3s~B3; dec: B3-5s"
 
@@ -293,14 +293,14 @@ def coin(delta, rng):
 
 
 def parity_pair(family):
-    from jsalearn.models import build_conditional
     rng = np.random.default_rng(31)
     if family in ("linear", "two-layers"):
         pair = build_architecture(family)
         pair.lam[:] = rng.normal(scale=0.05, size=pair.lam.size)
     else:
-        pair = (build_conditional(6, 4, 3, [5]) if family == "structured"
-                else build_architecture("enc: 6-5l-6~C2x3; dec: C2x3-5l-6s"))
+        pair = build_architecture(
+            "ctx: 4-5t-3s~B3; enc: 6-5t-3s~B3; dec: B3-5t-6s"
+            if family == "structured" else "enc: 6-5l-6~C2x3; dec: C2x3-5l-6s")
         pair.lam[:] = rng.normal(scale=0.8, size=pair.lam.size)
     return pair
 
@@ -560,8 +560,8 @@ class TestMinibatchUpdate:
             update(np.empty(pair.lam.size - 1), 5)
 
     def test_conditional_batch_requires_contexts(self):
-        from jsalearn.models import build_conditional
-        pair = build_conditional(4, 3, 3, [4])
+        pair = build_architecture(
+            "ctx: 3-4t-3s~B3; enc: 4-4t-3s~B3; dec: B3-4t-4s")
         cfg = JsaConfig()
         with pytest.raises(Exception):
             jsa.jsa_minibatch_update(pair, LatentCache(),
@@ -887,6 +887,17 @@ class TestCheckpoint:
             assert a.dtype == dtype and a.tobytes() == b.tobytes()
         assert np.array_equal(cache2.seen, cache.seen)
 
+    def test_round_trip_of_a_conditional_pair(self, tmp_path):
+        arch = "ctx: 3-4t-2s~B2; enc: 4-4l-3s~B3-2s~B2; dec: B2-3s~B3-4t-4s"
+        pair = build_architecture(arch, seed=3)
+        pair.set_lam(np.random.default_rng(3).normal(size=pair.lam.size))
+        path = tmp_path / "cond.ckpt"
+        jsa.save_checkpoint(path, pair)
+        back = jsa.restore_pair(jsa.load_checkpoint(path))
+        assert back.arch == arch and back.context_width == 3
+        assert back.lam.dtype == pair.lam.dtype
+        assert back.lam.tobytes() == pair.lam.tobytes()
+
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
                                                      monkeypatch):
         pair, _ = tiny(18)
@@ -987,7 +998,8 @@ class TestFloat32:
         lambda: build_architecture("enc: 12-8l-6~C2x3; dec: C2x3-8t-12s"),
         lambda: build_architecture(
             "enc: 12-8s-4s~B4-3s~B3; dec: B3-4s~B4-8s-12s"),
-        lambda: build_conditional(12, 6, 4, [5]),
+        lambda: build_architecture(
+            "ctx: 6-5t-4s~B4; enc: 12-5t-4s~B4; dec: B4-5t-12s"),
     ], ids=["leaky-tanh-categorical", "hidden-sigmoid-two-layers",
             "conditional"])
     def test_no_array_is_promoted(self, make, algorithm, monkeypatch):

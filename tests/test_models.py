@@ -8,16 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsalearn import evaluation as ev
+from jsalearn.checks import TINY_FAMILIES, tiny_pair
 from jsalearn.errors import ArchParseError, DomainError, ShapeError
 from jsalearn.models import (
     DRAW_CHUNK,
-    PRESET_NAMES,
     PRESETS,
     StochasticLayerSpec,
     build_architecture,
-    build_conditional,
 )
 from jsalearn.ndnet import Linear, finite_diff_grad, group_softmax
+
+# Conditional pairs: the prior net reads the context c, encoder net 0
+# reads [c, x] and decoder net 0 reads [h[0], c].
+CONDITIONAL = "ctx: 3-4t-3s~B3; enc: 4-4t-3s~B3; dec: B3-4t-4s"
+TWO_LAYER_CONDITIONAL = ("ctx: 3-4t-2s~B2; enc: 4-4l-3s~B3-2s~B2; "
+                         "dec: B2-3s~B3-4t-4s")
 
 
 def rel_err(a, b):
@@ -60,6 +65,28 @@ class TestGrammar:
         assert pair.gen.obs_width == 392
         assert pair.layer_specs[0].width == 50
 
+    def test_conditional_nets_read_the_context(self):
+        pair = build_architecture(TWO_LAYER_CONDITIONAL)
+        assert pair.context_width == 3
+        assert [s.width for s in pair.layer_specs] == [3, 2]
+        assert (pair.gen.prior_net.in_dim, pair.gen.prior_net.out_dim) == (3, 2)
+        assert pair.inf.encoder_nets[0].in_dim == 3 + 4
+        assert pair.gen.decoder_nets[0].in_dim == 3 + 3
+        assert pair.gen.decoder_nets[1].in_dim == 2
+
+    def test_every_arch_label_rebuilds_its_pair(self):
+        """A pair's arch label is a string build_architecture accepts and
+        that rebuilds the same layout, as restoring a checkpoint needs."""
+        rng = np.random.default_rng(4)
+        pairs = [build_architecture(name, seed=None) for name in PRESETS]
+        pairs += [tiny_pair(family, rng) for family in TINY_FAMILIES
+                  for _ in range(3)]
+        for pair in pairs:
+            again = build_architecture(pair.arch, seed=None, dtype=pair.dtype)
+            assert again.layer_specs == pair.layer_specs
+            assert (again.n_theta, again.n_phi, again.context_width) == \
+                (pair.n_theta, pair.n_phi, pair.context_width)
+
     def test_categorical_gets_group_softmax_head(self):
         """Every net that feeds a stochastic factor ends at its logits; the
         categorical factor's link is a softmax over each group."""
@@ -99,6 +126,18 @@ class TestGrammar:
     def test_decoder_must_end_in_sigmoid(self):
         with pytest.raises(ArchParseError):
             build_architecture("enc: 8-3s~B3; dec: B3-8l")
+
+    @pytest.mark.parametrize("arch", [
+        "ctx: 3-4t-3s~B4; enc: 4-3s~B3; dec: B3-4s",
+        "ctx: 3-4t-3s~B3-3s~B3; enc: 4-3s~B3; dec: B3-4s",
+        "ctx: 0-4t-3s~B3; enc: 4-3s~B3; dec: B3-4s",
+        "enc: 4-3s~B3; ctx: 3-4t-3s~B3; dec: B3-4s",
+    ], ids=["not-the-top-latent", "two-stochastic-layers", "zero-width",
+            "after-enc"])
+    def test_bad_context_clause(self, arch):
+        with pytest.raises(ArchParseError) as e:
+            build_architecture(arch)
+        assert isinstance(e.value.position, int)
 
 
 class TestTrivialValues:
@@ -314,25 +353,34 @@ class TestNormalization:
         assert q.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_joint_sums_to_one_over_x_and_h(self):
-        rng = np.random.default_rng(5)
-        pair = build_architecture("enc: 3-4s~B4; dec: B4-3s", dtype=np.float64)
-        pair.lam[:] = rng.normal(size=pair.lam.size)
-        support = ev.enumerate_support(pair.gen)
-        total = 0.0
-        for bits in range(8):
-            x = np.array([(bits >> k) & 1 for k in range(3)], dtype=float)
-            total += np.exp(ev.exact_log_likelihood(pair.gen, x,
-                                                    support=support))
-        assert total == pytest.approx(1.0, abs=1e-8)
+        # A conditional model's joint sums to one for each context c.
+        for arch in ("enc: 3-4s~B4; dec: B4-3s", CONDITIONAL,
+                     TWO_LAYER_CONDITIONAL):
+            rng = np.random.default_rng(5)
+            pair = build_architecture(arch, dtype=np.float64)
+            pair.lam[:] = rng.normal(size=pair.lam.size)
+            c = None
+            if pair.context_width:
+                c = (rng.random(pair.context_width) < 0.5).astype(float)
+            support = ev.enumerate_support(pair.gen)
+            n = pair.gen.obs_width
+            total = 0.0
+            for bits in range(2 ** n):
+                x = np.array([(bits >> k) & 1 for k in range(n)], dtype=float)
+                total += np.exp(ev.exact_log_likelihood(pair.gen, x, c,
+                                                        support=support))
+            assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_conditional_q_sums_to_one(self):
-        rng = np.random.default_rng(9)
-        pair = build_conditional(4, 3, 3, [5])
-        pair.lam[:] = rng.normal(size=pair.lam.size)
-        x = (rng.random(4) < 0.5).astype(float)
-        c = (rng.random(3) < 0.5).astype(float)
-        q = ev.exact_inference_table(pair.inf, x, c)
-        assert q.sum() == pytest.approx(1.0, abs=1e-10)
+        for arch in ("ctx: 3-5t-3s~B3; enc: 4-5t-3s~B3; dec: B3-5t-4s",
+                     TWO_LAYER_CONDITIONAL):
+            rng = np.random.default_rng(9)
+            pair = build_architecture(arch)
+            pair.lam[:] = rng.normal(size=pair.lam.size)
+            x = (rng.random(4) < 0.5).astype(float)
+            c = (rng.random(3) < 0.5).astype(float)
+            q = ev.exact_inference_table(pair.inf, x, c)
+            assert q.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestSampling:
@@ -422,20 +470,22 @@ class TestGradients:
         assert rel_err(analytic, numeric) < 1e-6
 
     def test_conditional_gradients_match_finite_diff(self):
-        rng = np.random.default_rng(17)
-        pair = build_conditional(4, 3, 3, [4], dtype=np.float64)
-        pair.lam[:] = rng.normal(scale=0.8, size=pair.lam.size)
-        x = (rng.random(4) < 0.5).astype(float)
-        c = (rng.random(3) < 0.5).astype(float)
-        h = [rng.integers(0, 2, 3).astype(float)]
-        analytic = pair.gen.grad_log_joint(x, h, c)
-        numeric = finite_diff_grad(lambda _: pair.gen.log_joint(x, h, c),
-                                   pair.theta)
-        assert rel_err(analytic, numeric) < 1e-6
-        analytic = pair.inf.grad_log_q(h, x, c)
-        numeric = finite_diff_grad(lambda _: pair.inf.log_q(h, x, c),
-                                   pair.phi)
-        assert rel_err(analytic, numeric) < 1e-6
+        for arch in (CONDITIONAL, TWO_LAYER_CONDITIONAL):
+            rng = np.random.default_rng(17)
+            pair = build_architecture(arch, dtype=np.float64)
+            pair.lam[:] = rng.normal(scale=0.8, size=pair.lam.size)
+            x = (rng.random(4) < 0.5).astype(float)
+            c = (rng.random(3) < 0.5).astype(float)
+            h = [rng.integers(0, 2, s.width).astype(float)
+                 for s in pair.layer_specs]
+            analytic = pair.gen.grad_log_joint(x, h, c)
+            numeric = finite_diff_grad(lambda _: pair.gen.log_joint(x, h, c),
+                                       pair.theta)
+            assert rel_err(analytic, numeric) < 1e-6
+            analytic = pair.inf.grad_log_q(h, x, c)
+            numeric = finite_diff_grad(lambda _: pair.inf.log_q(h, x, c),
+                                       pair.phi)
+            assert rel_err(analytic, numeric) < 1e-6
 
     def test_saturated_decoder_logits_keep_their_gradient(self):
         """Decoder logits near +40, where the sigmoid rounds to 1: log p(x, h)
@@ -472,9 +522,13 @@ class TestGradients:
                                    seed=2, dtype=np.float64),
         lambda: build_architecture("enc: 5-3s~B3-2s~B2; dec: B2-3s~B3-5s",
                                    seed=2, dtype=np.float64),
-        lambda: build_conditional(5, 3, 3, [4], seed=2, dtype=np.float64),
+        lambda: build_architecture(
+            "ctx: 3-4t-3s~B3; enc: 5-4t-3s~B3; dec: B3-4t-5s", seed=2,
+            dtype=np.float64),
+        lambda: build_architecture(TWO_LAYER_CONDITIONAL, seed=2,
+                                   dtype=np.float64),
     ], ids=["bernoulli-prior", "categorical-prior", "two-layers",
-            "conditional"])
+            "conditional", "conditional-two-layers"])
     def test_weighted_batch_gradient_is_weighted_sum(self, make, group):
         # x (and c) once per datapoint, h as `group` rows per datapoint: both
         # directions score and differentiate the batch as they do its rows
@@ -539,7 +593,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("name", ["log_joint", "grad_log_joint", "log_q",
                                       "grad_log_q"])
     def test_bad_inputs_rejected(self, name):
-        pair = build_conditional(4, 3, 3, [4], seed=1)
+        pair = build_architecture(CONDITIONAL, seed=1)
         method = getattr(pair.gen if "joint" in name else pair.inf, name)
         call = method if "joint" in name else (
             lambda x, h, c: method(h, x, c))
@@ -557,7 +611,7 @@ class TestInputChecks:
 
     def test_sampling_checks_the_context(self):
         rng = np.random.default_rng(0)
-        cond = build_conditional(4, 3, 3, [4], seed=1)
+        cond = build_architecture(CONDITIONAL, seed=1)
         free = build_architecture("enc: 4-3s~B3; dec: B3-4s", seed=1)
         x, c3, c5 = np.ones((2, 4)), np.ones((2, 3)), np.ones((2, 5))
         for draw, match in [
@@ -586,7 +640,7 @@ class TestGradientBuffer:
         lambda: build_architecture("categorical-20x10", seed=1),
         lambda: build_architecture("enc: 5-4l-6~C2x3; dec: C2x3-4l-5s",
                                    seed=1),
-        lambda: build_conditional(4, 3, 3, [4], seed=1),
+        lambda: build_architecture(CONDITIONAL, seed=1),
     ], ids=["linear", "two-layers", "categorical-20x10", "free-prior",
             "conditional"])
     def test_out_is_filled_and_equals_fresh_result(self, make):
@@ -676,13 +730,13 @@ class TestDtypes:
     TOL = 16 * np.finfo(np.float32).eps
 
     def test_float32_init_is_the_float64_init_rounded(self):
-        for name in PRESET_NAMES:
+        for name in PRESETS:
             ref = build_architecture(name, seed=5, dtype=np.float64)
             pair = build_architecture(name, seed=5)
             assert pair.dtype == np.float32
             assert np.array_equal(pair.lam, ref.lam.astype(np.float32))
 
-    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("name", PRESETS)
     def test_float32_agrees_with_float64(self, name):
         rng = np.random.default_rng(3)
         p64 = build_architecture(name, seed=3, dtype=np.float64)
