@@ -249,7 +249,6 @@ class JsaConfig:
     seed: int = 0
     eval_every: int = 5
     val_samples: int = 100
-    val_limit: int | None = None
     freeze_theta: bool = False
     lambda_bound: float = 1e8
 
@@ -269,8 +268,6 @@ class JsaConfig:
             raise ConfigError("eval_every must be at least 1")
         if self.val_samples < 1:
             raise ConfigError("val_samples must be at least 1")
-        if self.val_limit is not None and self.val_limit < 1:
-            raise ConfigError("val_limit must be at least 1")
         if not self.lambda_bound > 0:
             raise ConfigError("lambda_bound must be positive")
 
@@ -479,7 +476,10 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
           algorithm: str = "jsa", on_update=None, on_epoch=None,
           timing: bool = True) -> TrainResult:
     """Runs the full two-stage training loop with one shared Adam instance
-    over the concatenated parameter vector.
+    over the concatenated parameter vector. This is the paper's
+    stochastic-approximation recursion: each update runs K sampler moves
+    per chain, then steps along the mean of F, the (theta, phi) gradient
+    pair, over the states the chains visited, with Adam as the gain.
 
     dataset/valid are data.Dataset objects or bare (n, obs_width) arrays.
     The run computes in the dtype of pair.lam: each minibatch of x and c is
@@ -566,7 +566,7 @@ def train(pair: ModelPair, dataset, config: JsaConfig, *, valid=None,
             val_rng = np.random.default_rng(config.seed + 977)
             vnll = evaluation.dataset_nll(
                 pair, v_items, v_contexts, n_samples=config.val_samples,
-                rng=val_rng, limit=config.val_limit)
+                rng=val_rng)
             seconds = (time.perf_counter() - t0) if timing else 0.0
             result.metrics.append((epoch, "valid", vnll, "", seconds))
             if vnll < result.best_val_nll:

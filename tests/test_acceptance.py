@@ -17,7 +17,6 @@ from jsalearn import checks, data
 from jsalearn import evaluation as ev
 from jsalearn import jsa
 from jsalearn.models import build_architecture
-from jsalearn.sa_core import SASchedule, SAState, multiple_moves, sa_iterate
 
 
 def report(num, slug, passed, detail):
@@ -59,40 +58,55 @@ def test_criterion_03_sampler_leaves_posterior_invariant():
 
 
 def test_criterion_04_stochastic_approximation_error_scaling():
-    # mean-estimation toy: gamma_t = 1/t makes lam_T the running sample
-    # mean, so the RMS error over replicas must fall like T^(-1/2)
-    class FreshDraw:
-        def step(self, z, lam, rng):
-            return rng.normal(1.7, 2.0, size=lam.shape)
-
+    # SAEM's running average s_t = s_{t-1} + (g_t - s_{t-1}) / t of the
+    # production update's ascent buffer g_t, with lam frozen. Once the
+    # cached chains are stationary, g_t is unbiased for the posterior means
+    # of grad_theta log p(x,h) and grad_phi log q(h|x), so the RMS error of
+    # s_t must fall like T^(-1/2). Chains started afresh at every visit are
+    # pulled towards q, so their average stalls: the check can fail.
+    arch = "enc: 8-3s~B3; dec: B3-8s"
+    m = 20   # at m = 5 one stream's slope spreads across the whole band
     t0 = time.perf_counter()
-    field = lambda lam, z: z - lam
-    sched = SASchedule.robbins_monro(1.0)
-    state = SAState(lam=np.zeros(100), z=np.zeros(100))
-    rng = np.random.default_rng(0)
-    kernel = FreshDraw()
-    targets = {10**3, 10**4, 10**5, 10**6}
-    horizons, errors = [], []
-    for t in range(1, 10**6 + 1):
-        sa_iterate(state, kernel, field, sched, rng)
-        if t in targets:
-            horizons.append(t)
-            errors.append(np.sqrt(np.mean((state.lam - 1.7) ** 2)))
-    slope = np.polyfit(np.log10(horizons), np.log10(errors), 1)[0]
+    ds, _ = data.synthetic_dataset(arch, n=m, seed=3)
+    pair = build_architecture(arch, dtype=np.float64)
+    pair.lam[:] = np.random.default_rng(2).normal(scale=0.8,
+                                                  size=pair.lam.size)
+    sup = ev.enumerate_support(pair.gen)
+    target = np.zeros_like(pair.lam)
+    for x in ds.items:
+        w = ev.exact_posterior(pair.gen, x, support=sup) / m
+        X, _ = ev.one_datapoint(x)
+        target[:pair.n_theta] += pair.gen.grad_log_joint(X, sup.layers,
+                                                         weights=w)
+        target[pair.n_theta:] += pair.inf.grad_log_q(sup.layers, X,
+                                                     weights=w)
+    cfg = jsa.JsaConfig(particle_number=2, minibatch_size=m)
+    batch = (np.arange(m), ds.items, None)
 
-    s1 = SAState(lam=np.array([0.3]), z=np.zeros(1))
-    s2 = SAState(lam=np.array([0.3]), z=np.zeros(1))
-    r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-    identical = True
-    for _ in range(50):
-        sa_iterate(s1, kernel, field, sched, r1)
-        multiple_moves(s2, kernel, field, 1, sched, r2)
-        identical = identical and np.array_equal(s1.lam, s2.lam)
+    def error_slope(use_cache, horizon):
+        rng = np.random.default_rng(0)
+        cache = jsa.LatentCache(m, [s.width for s in pair.layer_specs],
+                                pair.dtype)
+        g, s = np.empty_like(pair.lam), np.zeros_like(pair.lam)
+        marks = set(np.round(np.logspace(1, np.log10(horizon), 7)).astype(int))
+        horizons, errors = [], []
+        for t in range(1, horizon + 1):
+            jsa.jsa_minibatch_update(pair, cache, batch, cfg, rng,
+                                     use_cache=use_cache, out=g)
+            s += (g - s) / t
+            if t in marks:
+                horizons.append(t)
+                errors.append(np.sqrt(np.mean((s - target) ** 2)))
+        return np.polyfit(np.log10(horizons), np.log10(errors), 1)[0]
+
+    cached = error_slope(True, 10**4)
+    fresh = error_slope(False, 10**3)
     dt = time.perf_counter() - t0
-    ok = abs(slope + 0.5) <= 0.15 and identical
-    report(4, "error decay exponent and single-move equivalence",
-           ok, f"slope {slope:+.3f} (want -0.5 +/- 0.15), K=1 bit-for-bit "
-               f"{'yes' if identical else 'NO'}; {dt:.1f}s")
+    in_band = lambda slope: abs(slope + 0.5) <= 0.15
+    ok = in_band(cached) and not in_band(fresh)
+    report(4, "SA average of the production update decays like T^-1/2",
+           ok, f"cached chains slope {cached:+.3f} (want -0.5 +/- 0.15), "
+               f"fresh-start chains {fresh:+.3f} (want outside); {dt:.1f}s")
     assert ok
 
 

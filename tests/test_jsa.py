@@ -614,8 +614,6 @@ class TestConfig:
             JsaConfig(total_epochs=5, stage1_epochs=6)
         with pytest.raises(ConfigError):
             JsaConfig(total_epochs=-1)
-        with pytest.raises(ConfigError):
-            JsaConfig(val_limit=0)
         for bound in (float("nan"), -1.0):
             with pytest.raises(ConfigError):
                 JsaConfig(lambda_bound=bound)
@@ -753,6 +751,43 @@ class TestTrain:
             jsa.train(pair, ds, cfg, timing=False,
                       on_update=lambda *args: updates.append(args))
         assert updates == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_aborts_the_same_update(self, bad,
+                                                        monkeypatch):
+        # One poisoned coordinate of the ascent buffer, on the second update
+        # of epoch 2, rolls lam and Adam back to the end of epoch 1.
+        pair, ds = self.small_problem()
+        cfg = JsaConfig(minibatch_size=20, total_epochs=3, stage1_epochs=1,
+                        lr=1e-3, seed=4)
+        real_update = jsa.jsa_minibatch_update
+        calls = []
+
+        def poisoned_update(*args, **kwargs):
+            est = real_update(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 5:   # three updates per epoch
+                kwargs["out"][-1] = bad
+            return est
+
+        monkeypatch.setattr(jsa, "jsa_minibatch_update", poisoned_update)
+        saved, updates = {}, []
+
+        def on_epoch(epoch, p, result):
+            saved[epoch] = (p.copy_lam(), result.adam.m.copy(),
+                            result.adam.v.copy(), result.adam.step)
+
+        with pytest.raises(jsa.TrainingDiverged,
+                           match="non-finite gradient") as e:
+            jsa.train(pair, ds, cfg, timing=False, on_epoch=on_epoch,
+                      on_update=lambda *args: updates.append(args[:2]))
+        assert updates[-1] == (2, 1) and len(calls) == 5
+        assert e.value.result.epochs_run == 1
+        adam = e.value.result.adam
+        lam, m, v, step = saved[1]
+        assert np.array_equal(pair.lam, lam)
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+        assert adam.step == step == 3
 
     def test_divergence_restores_adam_state_of_last_good_epoch(self):
         pair, ds = self.small_problem()
