@@ -25,6 +25,9 @@ It prints, as 16-hex-digit sha256 prefixes:
   and jsa.run_mis_chain's occupancy counts for the first certified model
   of the mis-invariance check at seed 0 (1 000 000 steps), and for a
   100 000-step chain on it started at its last support state;
+* a jsa.GuideTable draw of 100 000 indices from a 128-state law whose
+  masses are multiples of 1/4096 (zeros among them), so that every CDF
+  step falls on an edge of the table's bins;
 * metrics.csv of `jsa train --surrogate --arch linear --limit-train 300
   --limit-valid 100 --limit-test 100 --test-samples 50 --total-epochs 4
   --stage1-epochs 2 --eval-every 2`.
@@ -124,6 +127,11 @@ def sampler():
     return moves, digest(counts), digest(started)
 
 
+def table_draw():
+    q = np.tile([0.0, 16.0, 48.0, 64.0], 32) / 4096  # steps on bin edges
+    return digest(jsa.GuideTable(q)(np.random.default_rng(4).random(100_000)))
+
+
 def cli_metrics():
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -151,6 +159,7 @@ def main():
     moves, counts, started = sampler()
     print(f"sampler: mis_moves 50x2 float32 {moves[0]}  1x65536 {moves[1]}  "
           f"chain counts {counts}  started chain {started}")
+    print(f"sampler: table draw 128 states, steps on bin edges {table_draw()}")
     code, d = cli_metrics()
     print(f"jsa {' '.join(CLI_ARGS)}: exit {code}  metrics.csv {d}")
 

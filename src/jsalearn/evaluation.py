@@ -75,16 +75,17 @@ class EnumerableSupport:
             tiles = self.size // (rows.shape[0] * reps_after[k])
             expanded = np.tile(np.repeat(rows, reps_after[k], axis=0), (tiles, 1))
             self.layers.append(expanded)
-
-        self._index = {
-            np.concatenate([lay[i] for lay in self.layers]).tobytes(): i
-            for i in range(self.size)}
+        self._index = None  # built by the first index_of
 
     def config(self, i: int):
         """Latent configuration i as the usual list of per-layer arrays."""
         return [lay[i] for lay in self.layers]
 
     def index_of(self, h) -> int:
+        if self._index is None:
+            self._index = {
+                np.concatenate([lay[i] for lay in self.layers]).tobytes(): i
+                for i in range(self.size)}
         key = np.concatenate([np.asarray(hk, dtype=np.float64) for hk in h]
                              ).tobytes()
         return self._index[key]

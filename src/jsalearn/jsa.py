@@ -7,7 +7,8 @@ Each datapoint carries its own latent Markov chain. One minibatch update:
    posterior p(h|x): propose h' ~ q, accept with probability
    min(1, w(h')/w(h)) where w = p(x,h)/q(h|x). The marginal p(x) cancels in
    the ratio, so only the joint and the proposal mass are ever evaluated.
-   mis_moves runs the decisions, here and in the chains of run_mis_chain.
+   mis_moves runs the decisions here, and its decision step those of
+   run_mis_chain's long chains.
    Its default rule draws the call's uniforms in one block, the same random
    stream as one scalar draw per decision. A move whose uniform would
    accept it from any state the chain can hold regenerates the chain
@@ -70,6 +71,8 @@ from .ndnet import AdamState, adam_step
 
 CHECKPOINT_MAGIC = b"JSACKPT\x01"
 CHAIN_SLICE = 1 << 16
+# Equal bins of [0, 1) in a GuideTable.
+DRAW_BINS = 1 << 12
 # Crossovers of the stretch walk against the scalar loop, measured with
 # normal log-weights on a 2-core x86 host (numpy 2.4, Python 3.11): a numpy
 # round costs about as much as the loop spends on WALK_MIN_LIVE decisions
@@ -184,21 +187,26 @@ def mis_moves(logw_cur, logw_prop, rng, accept_rule=None):
     Returns (pos, accepted): pos[j, k] is the proposal chain j sits at after
     move k, or -1 while it is still at its starting state.
     """
+    took = _decide(logw_cur, logw_prop, rng, accept_rule)
+    # A chain sits after move k at the last proposal it accepted, if any.
+    K = took.shape[1]
+    pos = np.maximum.accumulate(np.where(took, np.arange(K), -1), axis=1)
+    return pos, int(took.sum())
+
+
+def _decide(logw_cur, logw_prop, rng, accept_rule=None):
+    """mis_moves' decisions as an (m, K) bool array: move k of chain j
+    accepts where [j, k] is True."""
     m, K = logw_prop.shape
     u = None if accept_rule else rng.random(m * K)
     if u is not None and (m * K >= WALK_MIN_MOVES or not u.all()):
-        took = _walk_stretches(logw_cur, logw_prop, u)
-    else:
-        # The loop's default test cannot accept a NaN or -inf delta, so
-        # zero uniforms take the walk, which marks them.
-        logu = repeat(None) if accept_rule else map(math.log, u.tolist())
-        took = _move_loop(logw_cur.tolist(), cycle(range(m)),
-                          logw_prop.T.ravel().tolist(), logu, accept_rule,
-                          rng)
-        took = np.frombuffer(took, dtype=bool).reshape(K, m).T
-    # A chain sits after move k at the last proposal it accepted, if any.
-    pos = np.maximum.accumulate(np.where(took, np.arange(K), -1), axis=1)
-    return pos, int(took.sum())
+        return _walk_stretches(logw_cur, logw_prop, u)
+    # The loop's default test cannot accept a NaN or -inf delta, so zero
+    # uniforms take the walk, which marks them.
+    logu = repeat(None) if accept_rule else map(math.log, u.tolist())
+    took = _move_loop(logw_cur.tolist(), cycle(range(m)),
+                      logw_prop.T.ravel().tolist(), logu, accept_rule, rng)
+    return np.frombuffer(took, dtype=bool).reshape(K, m).T
 
 
 class LatentCache:
@@ -397,17 +405,58 @@ def rws_minibatch_update(pair: ModelPair, batch, n_particles: int,
     return GradEstimate(g_theta, g_phi, m * P, m * P, nll_proxy)
 
 
+class GuideTable:
+    """Inverse-CDF draws from a discrete law q by indexed search (Chen &
+    Asau 1974; Devroye 1986, section III.2.4), index for index what
+    Generator.choice(len(q), p=q) draws from the same uniforms.
+
+    The CDF is built as choice builds it (q in float64, cumsum, then
+    divided by its last entry), and a draw is cdf.searchsorted(u,
+    side="right"). [0, 1) is cut into DRAW_BINS equal bins; u * DRAW_BINS
+    is exact, so its floor is u's bin. A bin whose uniforms all map to one
+    index holds it, so those draws are one lookup; a bin that holds a CDF
+    step holds -1, and its uniforms are searched. A CDF value exactly on a
+    bin edge splits neither bin. Masses that are not finite raise
+    NumericError.
+    """
+
+    def __init__(self, q):
+        cdf = np.asarray(q, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        if np.isnan(cdf[-1]):
+            raise NumericError("proposal masses are not finite")
+        edges = np.arange(DRAW_BINS + 1) / DRAW_BINS
+        # Over the uniforms of bin b, the draw runs from first[b] to the
+        # count of CDF entries below the bin's upper edge.
+        first = cdf.searchsorted(edges[:-1], side="right")
+        first[first != cdf.searchsorted(edges[1:], side="left")] = -1
+        self.cdf, self.first = cdf, first
+
+    def __call__(self, u):
+        """The support indices drawn by the uniforms u."""
+        idx = self.first[(u * DRAW_BINS).astype(np.intp)]
+        steps = np.flatnonzero(idx < 0)
+        idx[steps] = self.cdf.searchsorted(u[steps], side="right")
+        return idx
+
+
 def run_mis_chain(pair: ModelPair, x, n_steps: int, rng, c=None, support=None,
                   accept_rule=None, start=None) -> np.ndarray:
     """Occupancy counts of a long sampler chain over an enumerable support.
 
-    Proposals are tabulated up front (valid because the proposal law ignores
-    the chain state) and fed through mis_moves, the production sampler
-    step, CHAIN_SLICE steps at a time so that its working arrays stay small
-    at any chain length. The chain starts at support index start, or at a
-    draw from q without one; a start outside the support raises
-    ShapeError. Used to verify that the chain's occupancy matches the exact
-    posterior.
+    The proposal law ignores the chain state, so the proposals are drawn
+    up front, index for index those of rng.choice(support.size, n_steps,
+    p=q): their uniforms come CHAIN_SLICE at a time (the doubles of one
+    rng.random(n_steps) call), and a GuideTable maps each block to support
+    indices, kept in 8 or 16 bits. The chain then starts at support index
+    start, or at a draw rng.choice(support.size, p=q); a start outside the
+    support raises ShapeError. It walks CHAIN_SLICE moves at a time, so
+    that its working arrays stay small at any chain length, through
+    mis_moves' decision step, the production sampler's. A state holds the
+    chain from the move that accepted it up to the next accepted move:
+    each slice adds those run lengths to its accepted proposals' counts,
+    and the moves before its first acceptance to the state it started at.
+    Used to verify that the chain's occupancy matches the exact posterior.
     """
     support = support or evaluation.enumerate_support(pair.gen)
     if start is not None and not 0 <= start < support.size:
@@ -419,15 +468,24 @@ def run_mis_chain(pair: ModelPair, x, n_steps: int, rng, c=None, support=None,
     q = np.exp(logq)
     q = q / q.sum()
 
-    props = rng.choice(support.size, size=n_steps, p=q)
+    draw = GuideTable(q)
+    # The support's indices fit in 16 bits (ENUMERATION_CAP).
+    props = np.empty(n_steps, dtype=np.min_scalar_type(support.size - 1))
+    for t in range(0, n_steps, CHAIN_SLICE):
+        props[t:t + CHAIN_SLICE] = draw(rng.random(min(CHAIN_SLICE,
+                                                       n_steps - t)))
     cur = int(rng.choice(support.size, p=q)) if start is None else int(start)
     counts = np.zeros(support.size)
     for t in range(0, n_steps, CHAIN_SLICE):
         props_t = props[t:t + CHAIN_SLICE]
-        pos, _ = mis_moves(logw[[cur]], logw[props_t][None], rng, accept_rule)
-        states = np.where(pos[0] < 0, cur, props_t[pos[0]])
-        counts += np.bincount(states, minlength=support.size)
-        cur = int(states[-1])
+        took = _decide(logw[[cur]], logw[props_t][None], rng, accept_rule)[0]
+        acc = np.flatnonzero(took)
+        counts[cur] += acc[0] if acc.size else props_t.size
+        if acc.size:
+            counts += np.bincount(props_t[acc],
+                                  np.diff(acc, append=props_t.size),
+                                  support.size)
+            cur = int(props_t[acc[-1]])
     return counts
 
 

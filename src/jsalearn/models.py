@@ -79,6 +79,7 @@ from .ndnet import (
     Linear,
     Sigmoid,
     Tanh,
+    exp_floor,
     grad_buffer,
     group_softmax,
     sigmoid,
@@ -118,21 +119,25 @@ class StochasticLayerSpec:
         """Log-mass of values under the logits (the two broadcast), summed
         over the last axis: the row dot v.a less a term of the logits alone,
         taken once per logits row in one logits-sized temporary. For
-        Bernoulli factors that term is sum softplus(a) = (sum a + sum |a|)/2
-        + sum log1p(exp(-|a|)); for categorical ones (one-hot groups), the
-        sum of each group's logsumexp."""
+        Bernoulli factors that term is sum softplus(a), summed in one
+        reduction of max(a, log1p(exp(min(a, c)))) with c = -exp_floor
+        (709 in float64, 88 in float32): exp cannot overflow, and above c
+        softplus(a) rounds to a. Each entry is accurate to rounding at any
+        logit, and 0 at a = -inf. For categorical factors (one-hot groups)
+        the term is the sum of each group's logsumexp."""
         if self.kind == "bernoulli":
-            t = np.abs(logits)
-            rest = 0.5 * (logits.sum(axis=-1) + t.sum(axis=-1))
-            np.exp(np.negative(t, out=t), out=t)
-            rest += np.log1p(t, out=t).sum(axis=-1)
+            t = np.minimum(logits, -exp_floor(logits.dtype))
+            np.exp(t, out=t)
+            np.log1p(t, out=t)
+            rest = np.add.reduce(np.maximum(t, logits, out=t), axis=-1)
         else:
             g = logits.reshape(logits.shape[:-1]
                                + (self.n_vars, self.n_categories))
-            top = g.max(axis=-1, keepdims=True)
+            top = np.maximum.reduce(g, axis=-1, keepdims=True)
             t = np.subtract(g, top)
             np.exp(t, out=t)
-            rest = (np.log(t.sum(axis=-1)) + top[..., 0]).sum(axis=-1)
+            rest = np.add.reduce(np.log(np.add.reduce(t, axis=-1))
+                                 + top[..., 0], axis=-1)
         # v.a as a batch of (1, n) @ (n, 1) products: no temporary.
         return (values[..., None, :] @ logits[..., :, None])[..., 0, 0] - rest
 
@@ -176,13 +181,14 @@ class StochasticLayerSpec:
         return out
 
     def check_domain(self, values):
-        if not (((values == 0.0) | (values == 1.0)).all()):
+        if not np.logical_and.reduce((values == 0.0) | (values == 1.0),
+                                     axis=None):
             raise DomainError(f"{self.kind} latent entries must be 0 or 1")
         if self.kind == "bernoulli":
             return
-        sums = values.reshape(values.shape[:-1] + (self.n_vars, self.n_categories)
-                              ).sum(axis=-1)
-        if not (sums == 1.0).all():
+        sums = np.add.reduce(values.reshape(
+            values.shape[:-1] + (self.n_vars, self.n_categories)), axis=-1)
+        if not np.logical_and.reduce(sums == 1.0, axis=None):
             raise DomainError("categorical latent groups must be one-hot")
 
 
@@ -255,7 +261,8 @@ class Activations:
         whose row j picks rows of datapoint j; the datapoint pass is
         shared."""
         flat = rows.reshape(-1)
-        return Activations(self.data, [[t[flat] for t in a] for a in self.nets],
+        return Activations(self.data,
+                           [_each(lambda t: t[flat], a) for a in self.nets],
                            rows.shape[1])
 
     def join(self, other):
@@ -263,14 +270,25 @@ class Activations:
         records must share one datapoint pass."""
         if other.data is not self.data:
             raise ShapeError("joined records must share their datapoint pass")
-        nets = [[join_rows(s, t, s.shape[0] // self.group) for s, t in zip(a, b)]
+        nets = [_each(lambda s, t: join_rows(s, t, s.shape[0] // self.group),
+                      a, b)
                 for a, b in zip(self.nets, other.nets)]
         return Activations(self.data, nets, self.group + other.group)
 
     def datapoints(self, sel):
         """The datapoint pass of the datapoints ``sel`` alone, with no
         latent rows (for sampling those datapoints again)."""
-        return Activations([t[sel] for t in self.data], [], 1)
+        return Activations(_each(lambda t: t[sel], self.data), [], 1)
+
+
+def _each(f, *lists):
+    """f over the entries of the activation lists, taken in step. An entry
+    that is the array before it (an activation written over its Linear
+    output, see LayeredNet.forward) is mapped once and stays shared."""
+    out = []
+    for i, ts in enumerate(zip(*lists)):
+        out.append(out[-1] if i and ts[0] is lists[0][i - 1] else f(*ts))
+    return out
 
 
 class _FactorChain:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, StateError
+from .errors import ConfigError, NumericError, ShapeError, StateError
 
 # The numeric carrier: numpy arrays in the dtype of the parameters that
 # produce them (float32 or float64).
@@ -154,7 +154,12 @@ class Linear:
 
 
 class LeakyReLU:
+    """max(x, slope * x), for a slope in (0, 1), written over its input
+    (see LayeredNet.forward)."""
+
     def __init__(self, slope: float = DEFAULT_LEAKY_SLOPE):
+        if not 0.0 < slope < 1.0:
+            raise ConfigError(f"leaky slope {slope} outside (0, 1)")
         self.slope = slope
 
     @property
@@ -168,14 +173,19 @@ class LeakyReLU:
         pass
 
     def forward(self, x: DenseArray) -> DenseArray:
-        return np.where(x > 0, x, self.slope * x)
+        # The same bits as np.where(x > 0, x, slope * x), -0.0 and NaN
+        # included, since 0 < slope < 1.
+        return np.maximum(x, self.slope * x, out=x)
 
     def backward(self, x_in, x_out, grad_out, param_grad) -> DenseArray:
+        # x_out > 0 exactly where x_in > 0, and x_in may be x_out itself.
         # No mask of Python floats: np.where would make it float64.
-        return np.where(x_in > 0, grad_out, self.slope * grad_out)
+        return np.where(x_out > 0, grad_out, self.slope * grad_out)
 
 
 class Tanh:
+    """tanh(x), written over its input (see LayeredNet.forward)."""
+
     @property
     def n_params(self) -> int:
         return 0
@@ -187,7 +197,7 @@ class Tanh:
         pass
 
     def forward(self, x: DenseArray) -> DenseArray:
-        return np.tanh(x)
+        return np.tanh(x, out=x)
 
     def backward(self, x_in, x_out, grad_out, param_grad) -> DenseArray:
         return grad_out * (1.0 - x_out * x_out)
@@ -228,6 +238,9 @@ class LayeredNet:
                  buffer: DenseArray | None = None):
         if not layers or not isinstance(layers[0], Linear):
             raise ShapeError("a net must start with a Linear layer")
+        for prev, lay in zip(layers, layers[1:]):
+            if not isinstance(prev, Linear) and not isinstance(lay, Linear):
+                raise ShapeError("each activation must follow a Linear layer")
         dim = layers[0].in_dim
         for lay in layers:
             if isinstance(lay, Linear):
@@ -260,6 +273,15 @@ class LayeredNet:
                 lay.init_params(rng)
 
     def forward(self, x: DenseArray) -> list:
+        """The activation list [x, out_1, ..., out_L].
+
+        LeakyReLU and Tanh write their output over their input, which is
+        always a fresh Linear output, since every activation follows a
+        Linear layer; so a Linear output and the activation after it are
+        one array, listed twice. Nothing reads the Linear output alone: the
+        next layer reads the activation, and the activation's backward
+        reads only its output.
+        """
         if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
             raise ShapeError(
                 f"input has shape {x.shape}, net expects last dim {self.in_dim}")

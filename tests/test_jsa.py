@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from jsalearn import evaluation as ev
 from jsalearn import jsa, models, ndnet
 from jsalearn.data import Dataset, synthetic_dataset
-from jsalearn.errors import ConfigError, FormatError, ShapeError
+from jsalearn.errors import ConfigError, FormatError, NumericError, ShapeError
 from jsalearn.jsa import JsaConfig, LatentCache
 from jsalearn.models import build_architecture
 
@@ -84,10 +84,11 @@ def reference_moves(logw_cur, logw_prop, rng, accept_rule=None):
     return pos, accepted
 
 
-def reference_chain_counts(logw, props, cur, rng):
+def reference_chain_counts(logw, props, cur, rng, accept=default_accept):
+    """A chain's occupancy counted step by step."""
     counts = np.zeros(logw.size)
     for p in props:
-        if default_accept(logw[p] - logw[cur], rng):
+        if accept(logw[p] - logw[cur], rng):
             cur = p
         counts[cur] += 1.0
     return counts
@@ -234,21 +235,86 @@ class TestMoveLoop:
         assert pos.tolist() == [[0, 0, 2], [-1, 1, 2]] and acc == 4
         assert rng.bit_generator.state == before
 
-    def test_chain_slices_match_reference_loop(self):
-        pair, _ = tiny(18)
+    @staticmethod
+    def chain_against_reference(seed, scale, start, rule=None):
+        """run_mis_chain's run-length occupancy and the same chain counted
+        step by step, over 2 slices and a part."""
+        pair, _ = tiny(seed, scale=scale)
         x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         sup = ev.enumerate_support(pair.gen)
         n_steps = 2 * jsa.CHAIN_SLICE + 321
-        counts = jsa.run_mis_chain(pair, x, n_steps, np.random.default_rng(4),
-                                   support=sup, start=2)
         X = np.broadcast_to(x, (sup.size, x.size))
         logq = pair.inf.log_q(sup.layers, X)
         logw = pair.gen.log_joint(X, sup.layers) - logq
+        start = int(np.argmax(logw)) if start == "top" else start
+        counts = jsa.run_mis_chain(pair, x, n_steps, np.random.default_rng(4),
+                                   support=sup, start=start, accept_rule=rule)
         q = np.exp(logq)
         rng = np.random.default_rng(4)
         props = rng.choice(sup.size, size=n_steps, p=q / q.sum())
-        ref = reference_chain_counts(logw, props, 2, rng)
+        ref = reference_chain_counts(logw, props, start, rng,
+                                     rule or default_accept)
+        return counts, ref
+
+    def test_chain_slices_match_reference_loop(self):
+        counts, ref = self.chain_against_reference(18, 0.8, 2)
         assert np.array_equal(counts, ref)
+
+    # A chain started at its largest weight that accepts 4 moves, one run
+    # spanning a whole slice; and the accept-everything and accept-nothing
+    # rules.
+    @pytest.mark.parametrize("seed,scale,start,rule",
+                             [(23, 2.0, "top", None), (18, 0.8, 2, always),
+                              (18, 0.8, 5, never)],
+                             ids=["long-stretch", "always", "never"])
+    def test_run_lengths_match_step_counts(self, seed, scale, start, rule):
+        counts, ref = self.chain_against_reference(seed, scale, start, rule)
+        assert np.array_equal(counts, ref)
+        if rule is never:
+            assert counts[5] == counts.sum()
+
+    def test_chain_memory_is_independent_of_length(self):
+        # No array of n_steps uniforms or indices: 10^6 float64 uniforms
+        # alone are 8 MB.
+        pair, _ = tiny(18)
+        x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        sup = ev.enumerate_support(pair.gen)
+        tracemalloc.start()
+        try:
+            jsa.run_mis_chain(pair, x, 1_000_000, np.random.default_rng(0),
+                              support=sup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+
+class TestGuideTable:
+    # Laws whose CDF steps fall inside bins, on zero masses, and exactly on
+    # bin edges (every step of the last two).
+    LAWS = {f"random-{n}": np.random.default_rng(n).random(n)
+            for n in (2, 3, 37, 128)}
+    LAWS.update({"zeros": np.array([0.0, 0.3, 0.0, 0.0, 0.7, 0.0, 0.0]),
+                 "halves": np.array([0.5, 0.25, 0.25]),
+                 "quarters": np.full(4, 0.25)})
+
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_draws_match_generator_choice(self, name):
+        q = self.LAWS[name] / self.LAWS[name].sum()
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        ref = rng_a.choice(q.size, 200_000, p=q)
+        got = jsa.GuideTable(q)(rng_b.random(200_000))
+        assert np.array_equal(got, ref)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert np.all(q[got] > 0)
+
+    @pytest.mark.parametrize("name", ["halves", "quarters"])
+    def test_steps_on_bin_edges_split_no_bin(self, name):
+        assert np.all(jsa.GuideTable(self.LAWS[name]).first >= 0)
+
+    def test_nan_masses_rejected(self):
+        with pytest.raises(NumericError):
+            jsa.GuideTable(np.array([0.5, np.nan, 0.5]))
 
 
 def reference_update(pair, cache, batch, config, rng, *, use_cache,

@@ -1,5 +1,6 @@
 """Architecture grammar, joint/inference models, and their gradients."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -268,6 +269,38 @@ class TestLayerSpec:
                       - np.logaddexp.reduce(g, axis=-1).sum(-1))
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dtype,bound", [(np.float64, 800.0),
+                                             (np.float64, 88.0),
+                                             (np.float32, 800.0),
+                                             (np.float32, 88.0)])
+    def test_bernoulli_log_mass_matches_per_entry_softplus(self, dtype, bound):
+        """Against sum v*a - softplus(a) taken entry by entry in float64,
+        at logits up to +-800 and up to float32's exp floor of +-88, on
+        both sides of each dtype's floor: to 1e-12 in float64, to
+        float32's rounding in float32."""
+        rng = np.random.default_rng(7)
+        logits = rng.uniform(-bound, bound, size=(6, 20))
+        logits[:, ::4] = bound
+        logits[:, 1::4] = -bound
+        logits = logits.astype(dtype)
+        values = (rng.random((6, 20)) < 0.5).astype(dtype)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = StochasticLayerSpec.bernoulli(20).log_mass(logits, values)
+        expect = [math.fsum(v * a - max(a, 0.0) - math.log1p(math.exp(-abs(a)))
+                            for v, a in zip(vr.tolist(), ar.tolist()))
+                  for vr, ar in zip(values, logits)]
+        rtol = 1e-12 if dtype == np.float64 else 1e-6
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, expect, rtol=rtol, atol=0.0)
+
+    def test_minus_inf_logit_scores_a_one_exactly(self):
+        # softplus(-inf) is 0, so a 1 at a -inf logit has log-mass -inf,
+        # where (sum a + sum |a|)/2 would form -inf + inf.
+        spec = StochasticLayerSpec.bernoulli(3)
+        got = spec.log_mass(np.array([-np.inf, 2.0, -1.0]),
+                            np.array([1.0, 1.0, 0.0]))
+        assert got == -np.inf
 
     def test_categorical_log_mass(self):
         spec = StochasticLayerSpec.categorical(2, 3)
@@ -676,6 +709,32 @@ class TestGradientBuffer:
             fresh = call(None)
             assert np.array_equal(out, fresh)
             assert call(None) is not fresh
+
+    def test_records_keep_activations_shared(self):
+        """take, join and datapoints gather an activation written over its
+        Linear output once, so it stays one array in the new record."""
+        pair = build_architecture("enc: 5-4l-3~C1x3-4t-2s~B2; "
+                                  "dec: B2-4t-3~C1x3-4l-5s", seed=1)
+        rng = np.random.default_rng(4)
+        X = (rng.random((3, 5)) < 0.5).astype(np.float32)
+        H, _, qa = pair.inf.sample_q(X, rng=rng, n_samples=2,
+                                     return_acts=True)
+        H0, _, qa0 = pair.inf.sample_q(X, rng=rng, acts=qa, return_acts=True)
+        _, pa = pair.gen.log_joint(X, H, return_acts=True)
+        rows = np.array([[1, 0], [1, 1], [0, 0]]) + 2 * np.arange(3)[:, None]
+        sel = np.array([True, False, True])
+
+        def shared(acts):
+            return [i for i in range(1, len(acts)) if acts[i] is acts[i - 1]]
+
+        for before, after in ((pa.nets, pa.take(rows).nets),
+                              (qa.nets, qa0.join(qa).take(rows).nets),
+                              ([qa.data], [qa.datapoints(sel).data])):
+            for a, b in zip(before, after):
+                assert shared(a) and shared(b) == shared(a)
+        flat = rows.ravel()
+        for a, b in zip(pa.nets[0], pa.take(rows).nets[0]):
+            assert np.array_equal(b, a[flat])
 
     def test_out_of_wrong_size_rejected(self):
         pair = build_architecture("enc: 5-3s~B3; dec: B3-5s")

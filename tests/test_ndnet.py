@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from jsalearn import ndnet
-from jsalearn.errors import NumericError, ShapeError, StateError
+from jsalearn.errors import ConfigError, NumericError, ShapeError, StateError
 from jsalearn.ndnet import (
     AdamState,
     LayeredNet,
@@ -98,6 +98,25 @@ class TestElementwise:
         np.testing.assert_allclose(lay.forward(np.array([-2.0, 0.0, 3.0])),
                                    [-0.02, 0.0, 3.0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_activations_write_over_their_input(self, dtype):
+        # The same bits as the out-of-place forms, signed zeros, NaN and
+        # infinities included.
+        x = np.concatenate([[-0.0, 0.0, np.nan, -np.inf, np.inf, 1e-45],
+                            np.random.default_rng(0).normal(size=50)])
+        x = x.astype(dtype)
+        for lay, ref in ((LeakyReLU(0.01), np.where(x > 0, x, 0.01 * x)),
+                         (Tanh(), np.tanh(x))):
+            y = x.copy()
+            out = lay.forward(y)
+            assert out is y and out.dtype == dtype
+            assert out.tobytes() == ref.astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, 1.5, -0.1])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ConfigError):
+            LeakyReLU(slope)
+
     @given(st.integers(1, 6), st.integers(2, 8), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_group_softmax_rows_sum_to_one(self, groups, size, seed):
@@ -158,6 +177,16 @@ class TestLinear:
             LayeredNet([Linear(3, 4), Linear(5, 2)])
         with pytest.raises(ShapeError):
             LayeredNet([Linear(3, 4), Sigmoid(), Linear(5, 2)])
+
+    def test_activation_must_follow_linear(self):
+        with pytest.raises(ShapeError, match="follow a Linear"):
+            LayeredNet([Linear(3, 4), Tanh(), LeakyReLU(), Linear(4, 2)])
+
+    def test_activation_output_is_its_linear_output(self):
+        net = LayeredNet([Linear(3, 4), LeakyReLU(), Linear(4, 2), Tanh()],
+                         rng=np.random.default_rng(0))
+        acts = net.forward(np.random.default_rng(1).normal(size=(5, 3)))
+        assert acts[1] is acts[2] and acts[3] is acts[4]
 
 
 class TestFlatParams:
